@@ -16,9 +16,9 @@ Also micro-benchmarks the butterfly solver's in-place bisection against
 an inline reimplementation of the old ``np.where`` formulation (the
 before/after note for the PR) and asserts bit-identity there too.
 
-The batched-core gate (PR 10) A/Bs the fused ``(2B, G)`` bisection
-against the per-side solve on raw batches, checks deep-solve lane
-compaction, and passes when the fused solve is >= 1.5x faster on wall
+The batched-core gate A/Bs the fused ``(2B, G)`` bisection of
+``solve`` against the two per-side ``solve_side`` solves on raw
+batches, and passes when the fused solve is >= 1.5x faster on wall
 time OR the sweep-level eval reduction holds >= 2x -- outputs
 bit-identical in every case.
 
@@ -275,7 +275,7 @@ def bench_butterfly(quick: bool) -> dict:
 
 
 def bench_batched(quick: bool, sweep: dict) -> dict:
-    """PR gate: fused (2B, G) bisection + lane compaction vs per-side.
+    """Gate: fused (2B, G) bisection vs the two per-side solves.
 
     Fusion halves the fixed per-step cost (one Python-level bisection
     loop instead of two), so its wall win lives where that cost
@@ -284,16 +284,21 @@ def bench_batched(quick: bool, sweep: dict) -> dict:
     they are still checked for bit-identity and their ratio reported.
     """
     print("== batched solver: fused (2B, G) vs per-side ==")
-    cell = SramCell()
+    solver = ReadButterflySolver(SramCell(), grid_points=101)
     rng = np.random.default_rng(SEED)
-    fused = ReadButterflySolver(cell, grid_points=101)
-    per_side = ReadButterflySolver(cell, grid_points=101, batched=False)
 
-    def time_solve(solver, shifts, repeats):
+    def fused(shifts):
+        curves = solver.solve(shifts)
+        return curves.vtc_a, curves.vtc_b
+
+    def per_side(shifts):
+        return solver.solve_side(0, shifts), solver.solve_side(1, shifts)
+
+    def time_solve(solve, shifts, repeats):
         best = float("inf")
         for _ in range(repeats):
             t0 = time.perf_counter()
-            curves = solver.solve(shifts)
+            curves = solve(shifts)
             best = min(best, time.perf_counter() - t0)
         return curves, best
 
@@ -308,30 +313,13 @@ def bench_batched(quick: bool, sweep: dict) -> dict:
                                      3 if quick else 5)
     fused_curves, fused_s = time_solve(fused, delta_vth,
                                        3 if quick else 5)
-    assert np.array_equal(side_curves.vtc_a, fused_curves.vtc_a) \
-        and np.array_equal(side_curves.vtc_b, fused_curves.vtc_b), \
+    assert all(np.array_equal(side, fuse)
+               for side, fuse in zip(side_curves, fused_curves)), \
         "fused solve is not bit-identical to the per-side solve"
     print(f"  single sample: per-side {side_1_s * 1e3:6.2f} ms  "
           f"fused {fused_1_s * 1e3:6.2f} ms  ({raw_speedup:.2f}x)")
     print(f"  batch {delta_vth.shape[0]}: per-side {side_s * 1e3:7.1f} ms  "
           f"fused {fused_s * 1e3:7.1f} ms  ({side_s / fused_s:.2f}x)")
-
-    # deep-solve compaction: past the float64 bracket-collapse depth
-    # (~53 steps) retired lanes stop paying device evals
-    deep = {"grid_points": 61, "bisection_iterations": 96}
-    compacting = ReadButterflySolver(cell, **deep)
-    plain = ReadButterflySolver(cell, **deep, compaction_depth=10**6)
-    compacted_curves = compacting.solve(delta_vth)
-    plain_curves = plain.solve(delta_vth)
-    assert np.array_equal(compacted_curves.vtc_a, plain_curves.vtc_a) \
-        and np.array_equal(compacted_curves.vtc_b, plain_curves.vtc_b), \
-        "compacting deep solve diverged from the full-lane solve"
-    assert compacting.evals_saved > 0, "96-step solve never compacted"
-    assert compacting.model_evals + compacting.evals_saved \
-        == plain.model_evals
-    saved_fraction = compacting.evals_saved / plain.model_evals
-    print(f"  96-step solve: {saved_fraction:.1%} of device evals "
-          f"compacted away, outputs bit-identical")
 
     assert raw_speedup >= 1.5 or sweep["eval_reduction"] >= 2.0, (
         f"batched gate failed: fused speedup {raw_speedup:.2f}x < 1.5x "
@@ -342,10 +330,9 @@ def bench_batched(quick: bool, sweep: dict) -> dict:
             "batch_per_side_best_s": side_s,
             "batch_fused_best_s": fused_s,
             "batch_speedup": side_s / fused_s,
-            "deep_evals_saved_fraction": saved_fraction,
             "sweep_eval_reduction": sweep["eval_reduction"],
-            "note": "fused (2B, G) bisection + active-lane compaction; "
-                    "outputs bit-identical"}
+            "note": "fused (2B, G) solve vs solve_side(0) + "
+                    "solve_side(1); outputs bit-identical"}
 
 
 # ----------------------------------------------------------------------

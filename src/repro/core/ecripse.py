@@ -200,6 +200,28 @@ class EcripseConfig:
                    max_statistical_samples=300_000).with_(**changes)
 
 
+class _FixedRepr:
+    """A value whose ``repr`` is a fixed string."""
+
+    def __init__(self, text: str) -> None:
+        self._text = text
+
+    def __repr__(self) -> str:
+        return self._text
+
+
+#: Stand-in hashed for the execution config by
+#: :meth:`EcripseEstimator.fingerprint`.  The backend never changes a
+#: result, so any constant would do; this one is the repr the default
+#: ``ExecutionConfig`` had when stored checkpoint and result-cache
+#: fingerprints were computed, kept verbatim so adding or removing an
+#: execution knob never orphans them.
+_EXECUTION_IN_FINGERPRINT = _FixedRepr(
+    "ExecutionConfig(backend='serial', workers=None, chunk_size=None, "
+    "max_retries=2, retry_backoff_s=0.05, fallback_serial=True, "
+    "shm_threshold_bytes=1048576)")
+
+
 class EcripseEstimator:
     """The proposed failure-probability estimator.
 
@@ -466,8 +488,7 @@ class EcripseEstimator:
         chunks through the executor.  Labelling is pure per row, so the
         result is independent of both the chunking and the backend.
         The stats task + sink keep the parent's perf counters honest on
-        the process backend, and the declared bool result dtype lets
-        large blocks ride the zero-copy shared-memory transport.
+        the process backend.
         """
         total = np.atleast_2d(np.asarray(total, dtype=float))
 
@@ -475,7 +496,7 @@ class EcripseEstimator:
             return self.executor.map_chunks(
                 evaluate_indicator_stats, total, self.indicator.indicator,
                 simulations=total.shape[0], label="simulate-labels",
-                stats_sink=self._absorb_worker_stats, result_dtype=bool)
+                stats_sink=self._absorb_worker_stats)
 
         # The health guard retries ConvergenceError batches (and is the
         # solver fault-injection seam); injection raises *before*
@@ -622,7 +643,7 @@ class EcripseEstimator:
         checkpointed under one backend may legally resume under another
         (the estimate is backend-invariant by construction).
         """
-        cfg = self.config.with_(execution=ExecutionConfig())
+        cfg = self.config.with_(execution=_EXECUTION_IN_FINGERPRINT)
         return format(stable_seed(
             self.method, self.space.dim, cfg,
             type(self.rtn_model).__name__,

@@ -90,13 +90,6 @@ def _add_common_args(cmd: argparse.ArgumentParser) -> None:
                           "persistence; warmed caches are reloaded on "
                           "the next invocation (ignored with "
                           "--exact-eval)")
-    cmd.add_argument("--array-backend", default="numpy", metavar="NAME",
-                     help="array namespace for the solver hot path: "
-                          "numpy (default), numba (jitted kernels, "
-                          "bit-identical) or an importable Array-API "
-                          "namespace such as cupy; unknown or unusable "
-                          "backends silently fall back to numpy, so "
-                          "results never depend on what is installed")
     cmd.add_argument("--perf-report", choices=("text", "json"),
                      default=None, metavar="{text,json}",
                      help="print the aggregated perf report after the "
@@ -339,8 +332,7 @@ def main(argv: list[str] | None = None) -> int:
         execution=execution, health=health)
     checkpoint = _checkpoint_config(args)
     perf = (PerfConfig.exact() if args.exact_eval
-            else PerfConfig(cache_path=args.solve_cache,
-                            array_backend=args.array_backend))
+            else PerfConfig(cache_path=args.solve_cache))
 
     coordinator = None
     if checkpoint is not None:

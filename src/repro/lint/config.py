@@ -48,7 +48,7 @@ RULE_SCOPES: dict[str, RuleScope] = {
         include=("*repro/core/*", "*repro/runtime/*", "*repro/rtn/*",
                  "*repro/ml/*", "*repro/checkpoint/*", "*repro/health/*",
                  "*repro/perf/*", "*repro/service/*",
-                 "*repro/chaos/*", "*repro/xp/*"),
+                 "*repro/chaos/*"),
         exclude=("*repro/checkpoint/trigger.py",
                  "*repro/service/scheduler.py",
                  "*repro/chaos/clock.py")),
@@ -169,11 +169,7 @@ class FingerprintContract:
 #: classifying it here is a REP009 failure.
 FINGERPRINT_CONTRACTS: tuple[FingerprintContract, ...] = (
     # The service job spec: result_fields() == all fields minus the
-    # scheduling hints and result-neutral perf knobs (see
-    # repro/service/spec.py _NONRESULT_FIELDS).  ``array_backend`` is
-    # excluded by the neutrality contract: every backend labels
-    # identically (unusable ones fall back to numpy), so jobs differing
-    # only here must share a result-cache entry.
+    # scheduling hints (see repro/service/spec.py _NONRESULT_FIELDS).
     FingerprintContract(
         cls="repro.service.spec.JobSpec",
         identity=frozenset({
@@ -182,7 +178,7 @@ FINGERPRINT_CONTRACTS: tuple[FingerprintContract, ...] = (
             "health_policy", "pfail", "array",
         }),
         excluded=frozenset({"priority", "checkpoint_every",
-                            "max_attempts", "array_backend"}),
+                            "max_attempts"}),
         exclusion_constant="_NONRESULT_FIELDS"),
     # Resilience knobs (fault schedules, leases, attempt budgets) may
     # change how often a job runs, never what it computes: a job
@@ -226,18 +222,15 @@ FINGERPRINT_CONTRACTS: tuple[FingerprintContract, ...] = (
         excluded=frozenset({
             "backend", "workers", "chunk_size", "max_retries",
             "retry_backoff_s", "fallback_serial",
-            "shm_threshold_bytes",
         })),
     # The perf policy is result-neutral by the PR 5 bit-identity
-    # contract (extended to side fusion, array backends and label
-    # batching in PR 10); a field someone believes belongs in
-    # `identity` here is a design alarm, not a lint tweak.
+    # contract; a field someone believes belongs in `identity` here is
+    # a design alarm, not a lint tweak.
     FingerprintContract(
         cls="repro.perf.config.PerfConfig",
         excluded=frozenset({
             "adaptive", "coarse_iterations", "guard_safety",
-            "cache_entries", "cache_path", "batched", "array_backend",
-            "label_batch",
+            "cache_entries", "cache_path",
         })),
 )
 

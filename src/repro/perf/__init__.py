@@ -23,10 +23,8 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.perf.adaptive import AdaptiveMarginEvaluator, margin_guard_band
-from repro.perf.batch import BatchPlanner
 from repro.perf.cache import SolveCache
 from repro.perf.config import PerfConfig
-from repro.xp import resolve_backend
 from repro.perf.profile import StageProfiler, merge_spans
 from repro.perf.report import (collect_perf, merge_perf, render_json,
                                render_text)
@@ -36,7 +34,6 @@ from repro.variability.space import VariabilitySpace
 
 __all__ = [
     "AdaptiveMarginEvaluator",
-    "BatchPlanner",
     "CellEvaluator",
     "PerfConfig",
     "SolveCache",
@@ -69,21 +66,14 @@ def build_evaluator(cell: SramCell, space: VariabilitySpace,
     """
     if perf is None:
         perf = PerfConfig()
-    backend = resolve_backend(perf.array_backend)
-    planner = (BatchPlanner(max_batch=perf.label_batch)
-               if perf.label_batch is not None else None)
     if perf.adaptive:
         evaluator = AdaptiveMarginEvaluator(
             cell, space, vdd=vdd, grid_points=grid_points,
             coarse_iterations=perf.coarse_iterations,
-            guard_safety=perf.guard_safety, batched=perf.batched,
-            array_backend=backend, planner=planner)
+            guard_safety=perf.guard_safety)
     else:
         evaluator = CellEvaluator(cell, space, vdd=vdd,
-                                  grid_points=grid_points,
-                                  batched=perf.batched,
-                                  array_backend=backend,
-                                  planner=planner)
+                                  grid_points=grid_points)
     if perf.caching:
         # Attach the cache after construction: the fingerprint comes
         # from the finished evaluator, so the adaptive screening depth

@@ -96,21 +96,16 @@ class AdaptiveMarginEvaluator(CellEvaluator):
                  vdd: float | None = None, grid_points: int = 61,
                  margin_levels: int = 64, max_batch: int = 4096,
                  cache: SolveCache | None = None,
-                 coarse_iterations: int = 12, guard_safety: float = 2.0,
-                 batched: bool = True, array_backend=None, planner=None):
+                 coarse_iterations: int = 12, guard_safety: float = 2.0):
         super().__init__(cell, space, vdd=vdd, grid_points=grid_points,
                          margin_levels=margin_levels, max_batch=max_batch,
-                         cache=cache, batched=batched,
-                         array_backend=array_backend, planner=planner)
+                         cache=cache)
         # Same grid and margin levels as the exact solver: the guard
         # band only bounds the bisection-depth error, so the screening
         # pass must not introduce any other discretisation difference.
-        # The resolved array backend is shared so a fallback is decided
-        # once per evaluator.
         self.coarse_solver = ReadButterflySolver(
             cell, vdd=vdd, grid_points=grid_points,
-            bisection_iterations=coarse_iterations,
-            batched=batched, array_backend=self.solver.backend)
+            bisection_iterations=coarse_iterations)
         self.guard_band = margin_guard_band(
             self.vdd, coarse_iterations,
             self.solver.bisection_iterations, guard_safety)
@@ -133,8 +128,8 @@ class AdaptiveMarginEvaluator(CellEvaluator):
         if x.shape[1] != 6:
             raise ValueError(f"x must have shape (B, 6), got {x.shape}")
         labels = np.empty(x.shape[0], dtype=bool)
-        for start, stop in self.planner.plan(x.shape[0],
-                                             self.solve_row_bytes):
+        for start in range(0, x.shape[0], self.max_batch):
+            stop = start + self.max_batch
             labels[start:stop] = self._label_chunk(x[start:stop], which)
         return labels
 
@@ -224,7 +219,3 @@ class AdaptiveMarginEvaluator(CellEvaluator):
     @property
     def device_model_evals(self) -> int:
         return super().device_model_evals + self.coarse_solver.model_evals
-
-    @property
-    def evals_saved(self) -> int:
-        return super().evals_saved + self.coarse_solver.evals_saved

@@ -44,25 +44,6 @@ class PerfConfig:
         loaded from it at evaluator construction and saved back by
         :func:`repro.perf.save_registered_caches` (the CLI does this
         after every run), one file per solve fingerprint.
-    batched:
-        Fuse both butterfly sides into one ``(2B, G)`` array program
-        per bisection step and run the buffered (allocation-free)
-        device-model path.  Bit-identical by construction (elementwise
-        over rows; same ufuncs in the same order); off reproduces the
-        per-side legacy loop.
-    array_backend:
-        Array namespace for the solver hot path: ``"numpy"`` (default),
-        ``"numba"`` (jitted softplus kernels, verified bit-identical at
-        resolve time) or any importable Array-API namespace such as
-        ``"cupy"`` (capability-probed, documented tolerance).  Unknown
-        or unusable backends silently fall back to numpy -- results
-        must never depend on which accelerators are installed (see
-        :mod:`repro.xp`).
-    label_batch:
-        Optional override of the evaluator's per-solver-call row cap
-        (default: the evaluator's ``max_batch``, 4096).  Purely a
-        peak-memory/speed trade -- slicing is row-independent, so any
-        value returns bit-identical labels.
     """
 
     adaptive: bool = True
@@ -70,9 +51,6 @@ class PerfConfig:
     guard_safety: float = 2.0
     cache_entries: int = 100_000
     cache_path: str | None = None
-    batched: bool = True
-    array_backend: str = "numpy"
-    label_batch: int | None = None
 
     def __post_init__(self) -> None:
         if self.coarse_iterations < 8:
@@ -83,10 +61,6 @@ class PerfConfig:
                 "widened beyond the analytic bound, never narrowed)")
         if self.cache_entries < 0:
             raise ValueError("cache_entries must be >= 0")
-        if not self.array_backend:
-            raise ValueError("array_backend must be a backend name")
-        if self.label_batch is not None and self.label_batch < 1:
-            raise ValueError("label_batch must be >= 1")
 
     @property
     def caching(self) -> bool:
@@ -96,11 +70,11 @@ class PerfConfig:
     def exact(cls) -> "PerfConfig":
         """The unaccelerated legacy path (``--exact-eval``).
 
-        Disables adaptivity, caching and side fusion, reproducing the
-        per-side fixed-budget solve -- the reference every acceleration
-        is gated bit-identical against in ``bench_hotpath``.
+        Disables adaptivity and caching, reproducing the fixed-budget
+        solve -- the reference every acceleration is gated bit-identical
+        against in ``bench_hotpath``.
         """
-        return cls(adaptive=False, cache_entries=0, batched=False)
+        return cls(adaptive=False, cache_entries=0)
 
     def with_(self, **changes) -> "PerfConfig":
         """Return a copy with ``changes`` applied (dataclass replace)."""

@@ -15,8 +15,8 @@ import json
 from repro.perf.profile import merge_spans
 
 #: additive counter keys (summed across runs when merging).
-_COUNTERS = ("device_model_evals", "evals_saved", "cache_hits",
-             "cache_misses", "cache_evictions", "screened", "refined")
+_COUNTERS = ("device_model_evals", "cache_hits", "cache_misses",
+             "cache_evictions", "screened", "refined")
 
 
 def collect_perf(result: object, _depth: int = 0) -> list[dict]:
@@ -88,8 +88,7 @@ def render_json(merged: dict) -> str:
 def render_text(merged: dict) -> str:
     """Human-readable multi-line perf summary."""
     lines = [f"perf report ({merged['runs']} run(s))",
-             f"  device-model evals  {merged['device_model_evals']} "
-             f"({merged['evals_saved']} saved by lane compaction)",
+             f"  device-model evals  {merged['device_model_evals']}",
              f"  cache               {merged['cache_hits']} hits / "
              f"{merged['cache_misses']} misses "
              f"({merged['cache_hit_rate']:.1%} hit rate, "

@@ -19,7 +19,6 @@ from repro.runtime.chunking import chunk_sizes, plan_chunks
 from repro.runtime.config import BACKENDS, ExecutionConfig
 from repro.runtime.executor import Executor
 from repro.runtime.metrics import ChunkRecord, RunMetrics
-from repro.runtime.shm import ShmArraySpec, ShmTransport, shm_map_task
 from repro.runtime.signals import (
     GracefulShutdown,
     default_coordinator,
@@ -40,8 +39,6 @@ __all__ = [
     "GracefulShutdown",
     "ProcessBackend",
     "RunMetrics",
-    "ShmArraySpec",
-    "ShmTransport",
     "ThreadBackend",
     "chunk_sizes",
     "default_coordinator",
@@ -51,6 +48,5 @@ __all__ = [
     "make_backend",
     "perf_stats_delta",
     "plan_chunks",
-    "shm_map_task",
     "shutdown_requested",
 ]

@@ -15,7 +15,6 @@ solver across cores; see docs/TUNING.md for the trade-off.
 from __future__ import annotations
 
 import signal
-from multiprocessing import resource_tracker
 from concurrent.futures import (
     Executor as FuturesExecutor,
     Future,
@@ -87,15 +86,6 @@ class ProcessBackend(PoolBackend):
     name = "process"
 
     def _make_pool(self) -> ProcessPoolExecutor:
-        # Start the resource tracker *before* the workers exist so they
-        # inherit it: shared-memory attaches in workers (see
-        # :mod:`repro.runtime.shm`) then register into the parent's
-        # tracker, whose cache is a set -- duplicates of the parent's
-        # own registration collapse and the parent's unlink settles the
-        # books.  Workers started first would each spawn a private
-        # tracker that warns about "leaked" segments the parent has
-        # long unlinked.
-        resource_tracker.ensure_running()
         return ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_worker_ignores_interrupt)

@@ -59,14 +59,6 @@ class ExecutionConfig:
         After retries are exhausted (or the pool itself breaks), run the
         chunk in the parent process; disabling this turns chunk failures
         into :class:`~repro.errors.ExecutionError`.
-    shm_threshold_bytes:
-        Minimum sample-block size (bytes) for which the ``process``
-        backend ships chunks through ``multiprocessing.shared_memory``
-        instead of pickles (see :mod:`repro.runtime.shm`); smaller
-        blocks are not worth the segment round-trip.  ``None`` disables
-        the zero-copy transport entirely.  Pure transport policy --
-        results are bit-identical either way -- so, like every other
-        field here, it never participates in checkpoint fingerprints.
     """
 
     backend: str = "serial"
@@ -75,7 +67,6 @@ class ExecutionConfig:
     max_retries: int = 2
     retry_backoff_s: float = 0.05
     fallback_serial: bool = True
-    shm_threshold_bytes: int | None = 1 << 20
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -93,11 +84,6 @@ class ExecutionConfig:
         if self.retry_backoff_s < 0:
             raise ValueError(
                 f"retry_backoff_s must be >= 0, got {self.retry_backoff_s}")
-        if (self.shm_threshold_bytes is not None
-                and self.shm_threshold_bytes < 0):
-            raise ValueError(
-                f"shm_threshold_bytes must be >= 0 or None, got "
-                f"{self.shm_threshold_bytes}")
 
     # ------------------------------------------------------------------
     @property

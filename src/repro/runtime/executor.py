@@ -38,7 +38,6 @@ from repro.runtime.signals import shutdown_requested
 from repro.runtime.chunking import plan_chunks
 from repro.runtime.config import ExecutionConfig
 from repro.runtime.metrics import ChunkRecord, RunMetrics
-from repro.runtime.shm import ShmTransport, shm_map_task
 
 if TYPE_CHECKING:  # avoid a runtime repro.core <-> repro.runtime cycle
     from repro.core.indicator import SimulationCounter
@@ -81,8 +80,7 @@ class Executor:
                    chunk_size: int | None = None,
                    simulations: int | None = None,
                    label: str = "map_chunks",
-                   stats_sink=None,
-                   result_dtype=None) -> np.ndarray:
+                   stats_sink=None) -> np.ndarray:
         """Apply ``fn`` to row-chunks of ``block``, concatenated in order.
 
         ``fn`` is called as ``fn(chunk, *extra)``, or
@@ -105,14 +103,6 @@ class Executor:
         :class:`~repro.runtime.metrics.ChunkRecord` location -- so
         callers can merge worker-side perf counters that only
         process-pool chunks accumulate out of the parent's sight.
-
-        ``result_dtype`` declares that ``fn`` returns one scalar of
-        that dtype per row, which enables the zero-copy shared-memory
-        transport (:mod:`repro.runtime.shm`) on the ``process`` backend
-        for RNG-free float blocks above
-        :attr:`~repro.runtime.config.ExecutionConfig.shm_threshold_bytes`.
-        The transport never changes results -- tasks see the same rows
-        either way -- so callers declare it unconditionally.
         """
         block = np.asarray(block)
         n = block.shape[0]
@@ -130,61 +120,21 @@ class Executor:
             self._record(label, [], n_items=0, n_simulations=pre)
             return np.asarray(result)
         sizes = [sl.stop - sl.start for sl in slices]
-        transport = self._open_transport(block, rng, result_dtype)
-        try:
-            if transport is not None:
-                task_fn = shm_map_task
-                tasks = [(fn, transport.in_spec, transport.out_spec,
-                          sl.start, sl.stop) + extra for sl in slices]
+        rngs = spawn(rng, len(slices)) if rng is not None else None
+        tasks = []
+        for i, sl in enumerate(slices):
+            chunk = block[sl]
+            if rngs is not None:
+                tasks.append((chunk, rngs[i]) + extra)
             else:
-                task_fn = fn
-                rngs = spawn(rng, len(slices)) if rng is not None else None
-                tasks = []
-                for i, sl in enumerate(slices):
-                    chunk = block[sl]
-                    if rngs is not None:
-                        tasks.append((chunk, rngs[i]) + extra)
-                    else:
-                        tasks.append((chunk,) + extra)
-            outputs = []
-            for result, record in self.iter_tasks(
-                    task_fn, tasks, sizes=sizes, label=label,
-                    simulations=simulations, with_records=True):
-                outputs.append(self._apply_stats(result, record.where,
-                                                 stats_sink))
-            if transport is not None:
-                if self.history:
-                    self.history[-1].shm_bytes += transport.bytes_shipped
-                return transport.result()
-            return np.concatenate([np.asarray(r) for r in outputs])
-        finally:
-            if transport is not None:
-                transport.close()
-
-    def _open_transport(self, block, rng, result_dtype
-                        ) -> ShmTransport | None:
-        """Shared-memory transport for this call, or ``None`` (pickles).
-
-        Engaged only when it can pay off: process backend (a healthy
-        one -- a broken pool runs serially in-parent where views are
-        free anyway), RNG-free workload (child generators do not ride
-        segments), caller-declared per-row result dtype, and a
-        contiguous float block at or above the configured threshold.
-        A segment-creation failure degrades to the pickle path.
-        """
-        cfg = self.config
-        if (result_dtype is None or rng is not None
-                or cfg.backend != "process"
-                or cfg.shm_threshold_bytes is None
-                or self._backend is None or self._broken
-                or block.dtype.kind != "f"
-                or not block.flags["C_CONTIGUOUS"]
-                or block.nbytes < cfg.shm_threshold_bytes):
-            return None
-        try:
-            return ShmTransport(block, result_dtype)
-        except (OSError, ValueError):  # pragma: no cover - no /dev/shm
-            return None
+                tasks.append((chunk,) + extra)
+        outputs = []
+        for result, record in self.iter_tasks(
+                fn, tasks, sizes=sizes, label=label,
+                simulations=simulations, with_records=True):
+            outputs.append(self._apply_stats(result, record.where,
+                                             stats_sink))
+        return np.concatenate([np.asarray(r) for r in outputs])
 
     @staticmethod
     def _apply_stats(result, where: str, stats_sink):

@@ -54,10 +54,6 @@ class RunMetrics:
     wall_time_s: float = 0.0
     n_items: int = 0
     n_simulations: int = 0
-    #: bytes moved through the zero-copy shared-memory transport
-    #: (:mod:`repro.runtime.shm`) instead of pickles; 0 when the run
-    #: used the pickle path.
-    shm_bytes: int = 0
     records: list[ChunkRecord] = field(default_factory=list)
     #: per-stage profiling spans (``{name: {"total_s", "count"}}``),
     #: folded in by the estimators from their StageProfiler.  Spans may
@@ -106,7 +102,9 @@ class RunMetrics:
             "n_fallbacks": self.n_fallbacks,
             "items_per_s": self.items_per_s,
             "chunk_time_s": self.chunk_time_s,
-            "shm_bytes": self.shm_bytes,
+            # always 0; kept because benchmarks/e2e/workloads.py reads
+            # it from every naive-MC run's metadata["execution"]
+            "shm_bytes": 0,
         }
         if self.spans:
             out["spans"] = {name: dict(stat)
@@ -161,7 +159,6 @@ class RunMetrics:
             merged.wall_time_s += run.wall_time_s
             merged.n_items += run.n_items
             merged.n_simulations += run.n_simulations
-            merged.shm_bytes += run.shm_bytes
             for name, stat in run.spans.items():
                 span = merged.spans.setdefault(
                     name, {"total_s": 0.0, "count": 0})

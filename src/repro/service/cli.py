@@ -133,11 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=None,
                         help="per-job attempt budget before "
                              "dead-lettering (default: the daemon's)")
-    submit.add_argument("--array-backend", default=None, metavar="NAME",
-                        help="solver array namespace (numpy, numba, or "
-                             "an importable Array-API module); "
-                             "result-neutral -- unusable backends fall "
-                             "back to numpy")
     submit.add_argument("--wait", action="store_true",
                         help="block until the job is terminal and "
                              "print its final record")
@@ -189,8 +184,6 @@ def _spec_from_args(args: argparse.Namespace) -> dict:
         spec["max_simulations"] = args.max_simulations
     if args.max_attempts is not None:
         spec["max_attempts"] = args.max_attempts
-    if args.array_backend is not None:
-        spec["array_backend"] = args.array_backend
     if args.kind == "array":
         from repro.analysis.ecc import ArrayConfig, parse_capacity
 

@@ -43,6 +43,11 @@ from repro.service.spec import JobSpec
 #: bumped when the job record layout changes incompatibly.
 RECORD_SCHEMA = 1
 
+#: spec keys of stored records that the current :class:`JobSpec` no
+#: longer has.  None of them ever entered the fingerprint, so dropping
+#: them on load keeps existing jobs (and their cache keys) alive.
+_RETIRED_SPEC_FIELDS = frozenset({"array_backend"})
+
 
 class JobState(str, Enum):
     """Lifecycle states of a job."""
@@ -173,9 +178,13 @@ class JobRecord:
             raise ServiceError(
                 f"unsupported job record schema {schema!r}")
         try:
+            spec = data["spec"]
+            if isinstance(spec, dict):
+                spec = {key: value for key, value in spec.items()
+                        if key not in _RETIRED_SPEC_FIELDS}
             return cls(
                 id=str(data["id"]),
-                spec=JobSpec.from_dict(data["spec"]),
+                spec=JobSpec.from_dict(spec),
                 fingerprint=str(data["fingerprint"]),
                 state=JobState(data["state"]),
                 created_at=float(data["created_at"]),

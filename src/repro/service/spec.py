@@ -27,12 +27,10 @@ JOB_KINDS: tuple[str, ...] = ("estimate", "naive", "array")
 #: bumped when the spec layout changes incompatibly.
 SPEC_SCHEMA = 1
 
-#: fields that do not participate in the result fingerprint:
-#: scheduling/resilience hints plus result-neutral performance knobs
-#: (``array_backend`` selects *how* margins are computed, never what
-#: they are -- the REP009 neutrality contract).
+#: fields that do not participate in the result fingerprint: the
+#: scheduling/resilience hints.
 _NONRESULT_FIELDS = frozenset(
-    {"priority", "checkpoint_every", "max_attempts", "array_backend"})
+    {"priority", "checkpoint_every", "max_attempts"})
 
 
 @dataclass(frozen=True)
@@ -93,14 +91,6 @@ class JobSpec:
         ``None`` uses the daemon's configured default
         (:attr:`repro.chaos.config.ChaosConfig.max_attempts`).
         Resilience-only, excluded from the fingerprint.
-    array_backend:
-        Array namespace for the solver hot path (``"numpy"``,
-        ``"numba"``, or an importable Array-API namespace; see
-        :mod:`repro.xp`).  Performance-only and excluded from the
-        fingerprint: by the neutrality contract every backend labels
-        identically (unusable ones silently fall back to numpy), so
-        jobs differing only here are the same job and share a result
-        cache entry.
     """
 
     kind: str = "estimate"
@@ -118,7 +108,6 @@ class JobSpec:
     priority: int = 0
     checkpoint_every: int = 1000
     max_attempts: int | None = None
-    array_backend: str = "numpy"
 
     def __post_init__(self) -> None:
         if self.kind not in JOB_KINDS:
@@ -153,10 +142,6 @@ class JobSpec:
         if self.max_attempts is not None and self.max_attempts < 1:
             raise ServiceError(
                 f"max_attempts must be >= 1, got {self.max_attempts}")
-        if not self.array_backend or not isinstance(self.array_backend,
-                                                    str):
-            raise ServiceError(
-                "array_backend must be a non-empty backend name")
         if isinstance(self.array, dict):
             try:
                 object.__setattr__(
@@ -222,8 +207,7 @@ class JobSpec:
     # -- identity ------------------------------------------------------
     def result_fields(self) -> dict:
         """The fields that determine the job's result (canonical
-        order) -- everything except the scheduling hints and the
-        result-neutral performance knobs."""
+        order) -- everything except the scheduling hints."""
         data = asdict(self)
         return {name: data[name] for name in sorted(data)
                 if name not in _NONRESULT_FIELDS}

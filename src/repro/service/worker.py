@@ -42,16 +42,7 @@ from repro.service.spec import SPEC_SCHEMA, JobSpec
 
 def job_setup(spec: JobSpec,
               perf: PerfConfig | None = None) -> ExperimentSetup:
-    """The paper setup a spec describes.
-
-    The spec's ``array_backend`` is applied on top of whatever perf
-    policy the daemon runs with: the knob is result-neutral (excluded
-    from the fingerprint), so honouring it per job can never make the
-    result cache lie.
-    """
-    perf = PerfConfig() if perf is None else perf
-    if perf.array_backend != spec.array_backend:
-        perf = perf.with_(array_backend=spec.array_backend)
+    """The paper setup a spec describes."""
     return paper_setup(vdd=spec.vdd, alpha=spec.alpha,
                        grid_points=spec.grid_points, perf=perf)
 

@@ -72,20 +72,13 @@ def softplus(x):
     return np.maximum(x, 0.0) + np.log1p(exp_neg_abs(x))
 
 
-def softplus_into(x, out, scratch, kernels=None):
+def softplus_into(x, out, scratch):
     """Buffered :func:`softplus`: result into ``out``, no temporaries.
 
     ``scratch`` must be a float buffer of ``x``'s shape; ``x`` may alias
     ``out`` (the shared intermediate is finished in ``scratch`` before
-    ``out`` is touched).  When a verified numba kernel set is supplied
-    (see :mod:`repro.xp.numba_kernels`) and the arrays are contiguous,
-    the whole chain runs as one compiled pass instead of six ufunc
-    passes -- bit-identical by the kernel set's build-time probe.
+    ``out`` is touched).
     """
-    if (kernels is not None and x.shape == out.shape
-            and x.flags.c_contiguous and out.flags.c_contiguous):
-        kernels.softplus_into(x.reshape(-1), out.reshape(-1))
-        return out
     exp_neg_abs(x, out=scratch)
     np.log1p(scratch, out=scratch)
     np.maximum(x, 0.0, out=out)
@@ -106,39 +99,27 @@ class IdsWorkspace:
     A linear pool of float ``shape`` buffers plus one bool buffer,
     reset at the start of every ``ids_into`` call and grown on demand
     (the high-water mark is ~10 buffers, reached on the general
-    source/drain-swap path).  :meth:`shrink` narrows every handed-out
-    buffer to a row prefix so the bisection loop can keep one workspace
-    across active-lane compaction events.
+    source/drain-swap path).
     """
 
     def __init__(self, shape: tuple[int, ...]):
         self.shape = tuple(int(s) for s in shape)
         self._pool: list[np.ndarray] = []
         self._next = 0
-        self._rows = self.shape[0]
         self._bool = np.empty(self.shape, dtype=bool)
 
     def reset(self) -> None:
         self._next = 0
-
-    def shrink(self, rows: int) -> None:
-        """Restrict subsequently handed-out buffers to ``rows`` rows."""
-        if not 0 <= rows <= self.shape[0]:
-            raise ValueError(f"rows must be in [0, {self.shape[0]}]")
-        self._rows = rows
-
-    def _narrow(self, buf: np.ndarray) -> np.ndarray:
-        return buf if self._rows == self.shape[0] else buf[:self._rows]
 
     def take(self) -> np.ndarray:
         if self._next == len(self._pool):
             self._pool.append(np.empty(self.shape))
         buf = self._pool[self._next]
         self._next += 1
-        return self._narrow(buf)
+        return buf
 
     def bool_buffer(self) -> np.ndarray:
-        return self._narrow(self._bool)
+        return self._bool
 
 
 @dataclass(frozen=True)
@@ -284,10 +265,10 @@ class MosfetModel:
 
     # ------------------------------------------------------------------
     def ids_into(self, vg, vd, vs, delta_vth, out, workspace,
-                 assume_ordered=False, kernels=None):
+                 assume_ordered=False):
         """Buffered :meth:`ids`: bit-identical, written into ``out``.
 
-        This is the batched-solver hot path: every ufunc lands in a
+        This is the butterfly solver's hot path: every ufunc lands in a
         preallocated buffer (``out`` or a :class:`IdsWorkspace` slot),
         eliminating the ~15 temporaries the plain path allocates per
         call.  Each operation applies the same ufunc to the same values
@@ -309,9 +290,6 @@ class MosfetModel:
             node bracket stays inside ``[0, vdd]``).  Skips the swap
             machinery; bit-identical because ``where(False, a, b) == b``
             and a nowhere-applied masked negation is a no-op.
-        kernels:
-            Optional verified numba kernel set (``ArrayBackend.kernels``)
-            accelerating the softplus chain.
 
         Scalar inputs may be Python floats; array inputs must broadcast
         against ``out`` and are never written to.
@@ -368,13 +346,13 @@ class MosfetModel:
         forward = ws.take()
         np.subtract(vp, vlo, out=forward)
         np.divide(forward, two_vt, out=forward)
-        softplus_into(forward, forward, scratch, kernels)
+        softplus_into(forward, forward, scratch)
         np.square(forward, out=forward)
 
         reverse = ws.take()
         np.subtract(vp, vhi, out=reverse)
         np.divide(reverse, two_vt, out=reverse)
-        softplus_into(reverse, reverse, scratch, kernels)
+        softplus_into(reverse, reverse, scratch)
         np.square(reverse, out=reverse)
 
         # vov = (vt * 2.0) * softplus((vg - vlo - vth) / (2 vt)); reuse
@@ -390,7 +368,7 @@ class MosfetModel:
             inner = np.subtract(mvg, vlo)
         np.subtract(inner, vth, out=vov)
         np.divide(vov, two_vt, out=vov)
-        softplus_into(vov, vov, scratch, kernels)
+        softplus_into(vov, vov, scratch)
         np.multiply(vov, vt * 2.0, out=vov)
 
         gain = vov

@@ -22,8 +22,6 @@ import numpy as np
 
 from repro.sram.cell import SramCell
 from repro.spice.model import IdsWorkspace
-from repro.xp import ArrayBackend, resolve_backend
-from repro.xp import generic as xp_generic
 
 
 @dataclass
@@ -78,6 +76,12 @@ class BisectionState:
 class ReadButterflySolver:
     """Batch butterfly solver for one cell design at one supply voltage.
 
+    Both butterfly sides run as one fused ``(2B, G)`` bisection (see
+    :meth:`_solve_fused`), which requires a side-symmetric cell: L1/D1/A1
+    and L2/D2/A2 must share parameter cards and geometry.  Every cell
+    built from a role-based :class:`~repro.config.CellGeometry` is;
+    anything else is rejected at construction.
+
     Parameters
     ----------
     cell:
@@ -91,10 +95,7 @@ class ReadButterflySolver:
     """
 
     def __init__(self, cell: SramCell, vdd: float | None = None,
-                 grid_points: int = 101, bisection_iterations: int = 40,
-                 batched: bool = True,
-                 array_backend: "str | ArrayBackend | None" = None,
-                 compaction_depth: int = 48):
+                 grid_points: int = 101, bisection_iterations: int = 40):
         if grid_points < 8:
             raise ValueError(f"grid_points must be >= 8, got {grid_points}")
         if bisection_iterations < 8:
@@ -105,40 +106,21 @@ class ReadButterflySolver:
             raise ValueError(f"vdd must be positive, got {self.vdd}")
         self.grid = np.linspace(0.0, self.vdd, grid_points)
         self.bisection_iterations = bisection_iterations
-        #: fuse both butterfly sides into one (2B, G) bisection when the
-        #: cell is side-symmetric (halves the Python-level step count;
-        #: bit-identical because every step op is elementwise over rows)
-        self.batched = bool(batched)
-        self.backend = (array_backend if isinstance(array_backend,
-                                                    ArrayBackend)
-                        else resolve_backend(array_backend))
-        #: bisection depth beyond which rows whose brackets have
-        #: collapsed to adjacent floats are retired from the batch; the
-        #: default sits above the standard 40-step solve so the check
-        #: costs nothing there, while deep solves (>= ~53 steps, where
-        #: brackets reach the float64 ulp) stop paying device evals for
-        #: converged cells.  Retirement is bit-identical: once
-        #: ``mid == lo`` or ``mid == hi`` at every grid point, every
-        #: future midpoint of that row equals the current one.
-        self.compaction_depth = int(compaction_depth)
         #: cumulative device-model (Ids) evaluation count, in units of
         #: one device triplet at one (sample, grid) point -- the perf
         #: reports' core "did we actually do less work" metric.
         self.model_evals = 0
-        #: device-model evaluations skipped by active-lane compaction
-        self.evals_saved = 0
         # device index triplets (load, driver, access) in DEVICE_ORDER
         self._sides = ((0, 1, 2), (3, 4, 5))
         self._side_names = (("L1", "D1", "A1"), ("L2", "D2", "A2"))
-        self._symmetric = self._sides_symmetric()
+        if not self._sides_symmetric():
+            raise ValueError(
+                "ReadButterflySolver needs a side-symmetric cell: "
+                "L1/D1/A1 and L2/D2/A2 must share parameter cards and "
+                "geometry")
 
     def _sides_symmetric(self) -> bool:
-        """Whether L1/D1/A1 and L2/D2/A2 share params and geometry.
-
-        True for every cell built from a role-based
-        :class:`~repro.config.CellGeometry`; the guard keeps side fusion
-        honest should a future cell type break the symmetry.
-        """
+        """Whether L1/D1/A1 and L2/D2/A2 share params and geometry."""
         for name_a, name_b in zip(*self._side_names):
             model_a = self.cell.model(name_a)
             model_b = self.cell.model(name_b)
@@ -158,12 +140,7 @@ class ReadButterflySolver:
             Per-device threshold shifts [V], shape (B, 6) following
             :data:`repro.config.DEVICE_ORDER`.
         """
-        delta_vth = self._check_shifts(delta_vth)
-        if self.batched and self._symmetric:
-            vtc_a, vtc_b = self._solve_fused(delta_vth)
-        else:
-            vtc_a = self._solve_side(0, delta_vth)
-            vtc_b = self._solve_side(1, delta_vth)
+        vtc_a, vtc_b = self._solve_fused(self._check_shifts(delta_vth))
         return ButterflyCurves(grid=self.grid, vtc_a=vtc_a, vtc_b=vtc_b,
                                vdd=self.vdd)
 
@@ -175,15 +152,8 @@ class ReadButterflySolver:
         instead of re-solving from scratch (the adaptive evaluator's
         refinement path).
         """
-        delta_vth = self._check_shifts(delta_vth)
-        if self.batched and self._symmetric:
-            (vtc_a, vtc_b), (side_a, side_b) = \
-                self._solve_fused(delta_vth, keep_state=True)
-        else:
-            vtc_a, side_a = self._solve_side(0, delta_vth,
-                                             keep_state=True)
-            vtc_b, side_b = self._solve_side(1, delta_vth,
-                                             keep_state=True)
+        (vtc_a, vtc_b), (side_a, side_b) = self._solve_fused(
+            self._check_shifts(delta_vth), keep_state=True)
         curves = ButterflyCurves(grid=self.grid, vtc_a=vtc_a, vtc_b=vtc_b,
                                  vdd=self.vdd)
         return curves, BisectionState(side_a, side_b,
@@ -206,16 +176,10 @@ class ReadButterflySolver:
             raise ValueError(
                 f"cannot resume a {state.iterations}-step solve with a "
                 f"{self.bisection_iterations}-step solver")
-        if self.batched and self._symmetric:
-            start = (np.concatenate([state.side_a[0], state.side_b[0]]),
-                     np.concatenate([state.side_a[1], state.side_b[1]]))
-            vtc_a, vtc_b = self._solve_fused(delta_vth, start=start,
-                                             iterations=extra)
-        else:
-            vtc_a = self._solve_side(0, delta_vth, start=state.side_a,
-                                     iterations=extra)
-            vtc_b = self._solve_side(1, delta_vth, start=state.side_b,
-                                     iterations=extra)
+        start = (np.concatenate([state.side_a[0], state.side_b[0]]),
+                 np.concatenate([state.side_a[1], state.side_b[1]]))
+        vtc_a, vtc_b = self._solve_fused(delta_vth, start=start,
+                                         iterations=extra)
         return ButterflyCurves(grid=self.grid, vtc_a=vtc_a, vtc_b=vtc_b,
                                vdd=self.vdd)
 
@@ -266,19 +230,13 @@ class ReadButterflySolver:
 
     def _solve_side(self, side: int, delta_vth: np.ndarray,
                     bl_voltage: float | None = None,
-                    wl_voltage: float | None = None,
-                    start: tuple[np.ndarray, np.ndarray] | None = None,
-                    iterations: int | None = None,
-                    keep_state: bool = False):
-        names = self._side_names[side]
+                    wl_voltage: float | None = None) -> np.ndarray:
         idx = self._sides[side]
-        models = tuple(self.cell.model(n) for n in names)
-        dv_load = delta_vth[:, idx[0], None]
-        dv_driver = delta_vth[:, idx[1], None]
-        dv_access = delta_vth[:, idx[2], None]
-        return self._bisect(models, dv_load, dv_driver, dv_access,
-                            bl_voltage, wl_voltage, start, iterations,
-                            keep_state)
+        models = tuple(self.cell.model(n) for n in self._side_names[side])
+        return self._bisect(models, delta_vth[:, idx[0], None],
+                            delta_vth[:, idx[1], None],
+                            delta_vth[:, idx[2], None],
+                            bl_voltage, wl_voltage)
 
     def _solve_fused(self, delta_vth: np.ndarray,
                      start: tuple[np.ndarray, np.ndarray] | None = None,
@@ -286,11 +244,11 @@ class ReadButterflySolver:
                      keep_state: bool = False):
         """Both sides as one (2B, G) bisection; rows [:B] are side A.
 
-        Valid only for side-symmetric cells (checked at construction):
-        with identical device models, stacking side B's shift columns
-        under side A's gives per-row results bit-identical to the two
-        sequential solves, because every bisection op is elementwise
-        over rows.
+        Valid because the cell is side-symmetric (checked at
+        construction): with identical device models, stacking side B's
+        shift columns under side A's gives per-row results bit-identical
+        to the two :meth:`solve_side` solves, because every bisection op
+        is elementwise over rows.
         """
         batch = delta_vth.shape[0]
         idx_a, idx_b = self._sides
@@ -310,7 +268,8 @@ class ReadButterflySolver:
         return result[:batch], result[batch:]
 
     def _bisect(self, models, dv_load, dv_driver, dv_access,
-                bl_voltage, wl_voltage, start, iterations, keep_state):
+                bl_voltage, wl_voltage, start=None, iterations=None,
+                keep_state=False):
         """Shared bisection engine over an (N, G) bracket block.
 
         Maintains the invariant ``0 <= lo <= mid <= hi <= vdd`` (the
@@ -330,12 +289,6 @@ class ReadButterflySolver:
             lo, hi = start  # resumed brackets, consumed by the solve
         steps = (self.bisection_iterations if iterations is None
                  else iterations)
-        # bisection depth the brackets already encode (resumed solves)
-        depth_done = self.bisection_iterations - steps
-        if not self.backend.native_numpy:
-            return self._bisect_generic(models, vin, lo, hi, dv_load,
-                                        dv_driver, dv_access, bl, wl,
-                                        steps, keep_state)
 
         load, driver, access = models
         # The node stays inside [0, vdd]: the pMOS load and nMOS driver
@@ -344,7 +297,6 @@ class ReadButterflySolver:
         # bracket ceiling (reads and holds; writes drive a bitline low
         # and take the general swap path).
         access_ordered = bl >= self.vdd
-        kernels = self.backend.kernels
         workspace = IdsWorkspace(lo.shape)
         i_load = np.empty(lo.shape)
         i_driver = np.empty(lo.shape)
@@ -352,105 +304,28 @@ class ReadButterflySolver:
         mid = np.empty_like(lo)
         above = np.empty(lo.shape, dtype=bool)
         below = np.empty(lo.shape, dtype=bool)
-        # Active-lane compaction: collect retired rows into `final`,
-        # tracked by their original row index.  Disabled for state-
-        # keeping solves, whose brackets must stay full-size.
-        compacting = (not keep_state
-                      and depth_done + steps > self.compaction_depth)
-        final = np.empty_like(lo) if compacting else None
-        alive = np.arange(batch) if compacting else None
-        n_active = batch
-
-        def views():
-            return (mid[:n_active], above[:n_active], below[:n_active],
-                    i_load[:n_active], i_driver[:n_active],
-                    i_access[:n_active])
-
-        mid_v, above_v, below_v, i_load_v, i_driver_v, i_access_v = \
-            views()
-        for step in range(steps):
-            np.add(lo, hi, out=mid_v)
-            mid_v *= 0.5
-            if compacting and depth_done + step >= self.compaction_depth:
-                # A row retires once mid equals lo or hi at every grid
-                # point: the bracket update then either keeps both
-                # endpoints or collapses onto mid, so every later
-                # midpoint -- and the final (lo + hi) / 2 -- is this mid.
-                np.equal(mid_v, lo, out=above_v)
-                np.equal(mid_v, hi, out=below_v)
-                np.logical_or(above_v, below_v, out=above_v)
-                frozen = above_v.all(axis=1)
-                if frozen.any():
-                    final[alive[frozen]] = mid_v[frozen]
-                    self.evals_saved += (int(frozen.sum())
-                                         * (steps - step) * grid_size)
-                    keep = ~frozen
-                    alive = alive[keep]
-                    lo = lo[keep]
-                    hi = hi[keep]
-                    dv_load = dv_load[keep]
-                    dv_driver = dv_driver[keep]
-                    dv_access = dv_access[keep]
-                    n_active = lo.shape[0]
-                    workspace.shrink(n_active)
-                    (mid_v, above_v, below_v, i_load_v, i_driver_v,
-                     i_access_v) = views()
-                    if n_active == 0:
-                        break
-                    np.add(lo, hi, out=mid_v)
-                    mid_v *= 0.5
+        for _ in range(steps):
+            np.add(lo, hi, out=mid)
+            mid *= 0.5
             # in-place node current, same op order as _node_current
-            load.ids_into(vin, mid_v, self.vdd, dv_load, out=i_load_v,
-                          workspace=workspace, assume_ordered=True,
-                          kernels=kernels)
-            np.negative(i_load_v, out=i_load_v)
-            driver.ids_into(vin, mid_v, 0.0, dv_driver, out=i_driver_v,
-                            workspace=workspace, assume_ordered=True,
-                            kernels=kernels)
-            np.negative(i_driver_v, out=i_driver_v)
-            access.ids_into(wl, bl, mid_v, dv_access, out=i_access_v,
+            load.ids_into(vin, mid, self.vdd, dv_load, out=i_load,
+                          workspace=workspace, assume_ordered=True)
+            np.negative(i_load, out=i_load)
+            driver.ids_into(vin, mid, 0.0, dv_driver, out=i_driver,
+                            workspace=workspace, assume_ordered=True)
+            np.negative(i_driver, out=i_driver)
+            access.ids_into(wl, bl, mid, dv_access, out=i_access,
                             workspace=workspace,
-                            assume_ordered=access_ordered,
-                            kernels=kernels)
-            np.add(i_load_v, i_driver_v, out=i_load_v)
-            np.add(i_load_v, i_access_v, out=i_load_v)
-            np.greater(i_load_v, 0.0, out=above_v)
-            np.logical_not(above_v, out=below_v)
-            np.copyto(lo, mid_v, where=above_v)
-            np.copyto(hi, mid_v, where=below_v)
-            self.model_evals += n_active * grid_size
-        if n_active:
-            np.add(lo, hi, out=mid_v)
-            mid_v *= 0.5
-        if compacting:
-            if n_active:
-                final[alive] = mid_v
-            result = final
-        else:
-            result = mid
+                            assume_ordered=access_ordered)
+            np.add(i_load, i_driver, out=i_load)
+            np.add(i_load, i_access, out=i_load)
+            np.greater(i_load, 0.0, out=above)
+            np.logical_not(above, out=below)
+            np.copyto(lo, mid, where=above)
+            np.copyto(hi, mid, where=below)
+            self.model_evals += batch * grid_size
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
         if keep_state:
-            return result, (lo, hi)
-        return result
-
-    def _bisect_generic(self, models, vin, lo, hi, dv_load, dv_driver,
-                        dv_access, bl, wl, steps, keep_state):
-        """Bisection through the pluggable array namespace.
-
-        Inputs are converted at this boundary and results converted
-        back, so estimator code above the solver never sees foreign
-        array types.  The program (see :mod:`repro.xp.generic`) applies
-        the same operations in the same order as the native path; with
-        a numpy-backed namespace it is bit-identical, and for real
-        device backends any deviation is bounded by the namespace's own
-        elementwise kernels (documented tolerance).
-        """
-        xp = self.backend.xp
-        mid, lo_out, hi_out = xp_generic.bisect(
-            xp, models, xp.asarray(vin), xp.asarray(lo), xp.asarray(hi),
-            xp.asarray(dv_load), xp.asarray(dv_driver),
-            xp.asarray(dv_access), self.vdd, bl, wl, steps)
-        self.model_evals += steps * lo.shape[0] * self.grid.size
-        result = np.asarray(mid)
-        if keep_state:
-            return result, (np.asarray(lo_out), np.asarray(hi_out))
-        return result
+            return mid, (lo, hi)
+        return mid

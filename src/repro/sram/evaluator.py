@@ -55,10 +55,7 @@ class CellEvaluator:
     def __init__(self, cell: SramCell, space: VariabilitySpace,
                  vdd: float | None = None, grid_points: int = 61,
                  margin_levels: int = 64, max_batch: int = 4096,
-                 cache: "SolveCache | None" = None, batched: bool = True,
-                 array_backend=None, planner=None):
-        from repro.perf.batch import BatchPlanner  # local, no cycle
-
+                 cache: "SolveCache | None" = None):
         if space.dim != 6:
             raise ValueError(
                 f"cell evaluator needs a 6-D space, got {space.dim}")
@@ -67,16 +64,10 @@ class CellEvaluator:
         self.cell = cell
         self.space = space
         self.solver = ReadButterflySolver(cell, vdd=vdd,
-                                          grid_points=grid_points,
-                                          batched=batched,
-                                          array_backend=array_backend)
+                                          grid_points=grid_points)
         self.margin_levels = margin_levels
         self.max_batch = max_batch
         self.cache = cache
-        #: slice planner for label/margin requests; defaults to the
-        #: legacy ``max_batch`` stride (bit-identical by construction)
-        self.planner = (planner if planner is not None
-                        else BatchPlanner(max_batch=max_batch))
         # perf-counter deltas absorbed from out-of-process workers,
         # reported by perf_stats() next to the in-process counters
         self._external_stats: dict[str, int] = {}
@@ -101,8 +92,8 @@ class CellEvaluator:
             raise ValueError(f"x must have shape (B, 6), got {x.shape}")
         rnm0 = np.empty(x.shape[0])
         rnm1 = np.empty(x.shape[0])
-        for start, stop in self.planner.plan(x.shape[0],
-                                             self.solve_row_bytes):
+        for start in range(0, x.shape[0], self.max_batch):
+            stop = start + self.max_batch
             dvth = self.space.to_physical(x[start:stop])
             if self.cache is None:
                 curves = solver.solve(dvth)
@@ -181,22 +172,6 @@ class CellEvaluator:
         """Cumulative device-model evaluations across all solves."""
         return self.solver.model_evals
 
-    @property
-    def evals_saved(self) -> int:
-        """Device evals skipped by the solver's active-lane compaction."""
-        return self.solver.evals_saved
-
-    @property
-    def solve_row_bytes(self) -> int:
-        """Peak scratch bytes one sample costs the fused solve.
-
-        The fused program keeps ~18 float lanes of shape (2B, G) live
-        (workspace pool, brackets, midpoint, per-device currents), i.e.
-        two rows of 18 float64 grids per sample; planners with a bytes
-        budget use this to size slices.
-        """
-        return 2 * 18 * self.solver.grid.size * 8
-
     def absorb_stats(self, delta: dict) -> None:
         """Fold an out-of-process worker's perf-counter delta in.
 
@@ -211,8 +186,7 @@ class CellEvaluator:
                 self._external_stats.get(key, 0) + int(value)
 
     def _local_perf_stats(self) -> dict:
-        stats = {"device_model_evals": self.device_model_evals,
-                 "evals_saved": self.evals_saved}
+        stats = {"device_model_evals": self.device_model_evals}
         if self.cache is not None:
             stats.update(self.cache.stats())
         return stats
@@ -291,9 +265,9 @@ class WriteFailure:
         """Signed write margin (negative = write failure), shape (B,)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.empty(x.shape[0])
-        planner = self.evaluator.planner
-        for start, stop in planner.plan(x.shape[0],
-                                        self.evaluator.solve_row_bytes):
+        step = self.evaluator.max_batch
+        for start in range(0, x.shape[0], step):
+            stop = start + step
             dvth = self.evaluator.space.to_physical(x[start:stop])
             out[start:stop] = self._static.write_margin(dvth)
         return out

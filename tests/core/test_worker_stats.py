@@ -53,8 +53,7 @@ def _naive_run(execution):
 class TestEcripseWorkerStats:
     def test_process_run_matches_serial_counters(self):
         serial_result, serial_stats = _ecripse_run(_execution("serial"))
-        process_result, process_stats = _ecripse_run(
-            _execution("process", shm_threshold_bytes=4096))
+        process_result, process_stats = _ecripse_run(_execution("process"))
         assert process_result.pfail == serial_result.pfail
         assert serial_stats["device_model_evals"] > 0
         assert process_stats["device_model_evals"] == \

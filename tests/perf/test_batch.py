@@ -1,53 +1,12 @@
-"""BatchPlanner slicing and the bit-identity licence of label batching."""
+"""Label slicing is result-neutral: the evaluator's ``max_batch`` stride
+changes only how many rows each solver call sees, never a bit of the
+margins or labels."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.perf import BatchPlanner, PerfConfig, build_evaluator
 from repro.sram.evaluator import CellEvaluator
-
-
-class TestPlanner:
-    def test_plan_covers_the_range_exactly(self):
-        planner = BatchPlanner(max_batch=7)
-        slices = list(planner.plan(23))
-        assert slices[0][0] == 0
-        assert slices[-1][1] == 23
-        for (_, stop), (start, _) in zip(slices, slices[1:]):
-            assert stop == start
-        assert all(stop - start <= 7 for start, stop in slices)
-
-    def test_empty_request_plans_nothing(self):
-        assert list(BatchPlanner().plan(0)) == []
-
-    def test_negative_request_rejected(self):
-        with pytest.raises(ValueError, match="n_items"):
-            list(BatchPlanner().plan(-1))
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="max_batch"):
-            BatchPlanner(max_batch=0)
-        with pytest.raises(ValueError, match="bytes_budget"):
-            BatchPlanner(bytes_budget=0)
-
-    def test_bytes_budget_caps_the_slice(self):
-        planner = BatchPlanner(max_batch=4096, bytes_budget=1000)
-        assert planner.batch_size(row_bytes=100) == 10
-        # the cap never goes below one row
-        assert planner.batch_size(row_bytes=10 ** 9) == 1
-        # and never above max_batch
-        assert BatchPlanner(max_batch=64,
-                            bytes_budget=1000).batch_size(1) == 64
-
-    def test_no_budget_reproduces_the_stride_loop(self):
-        planner = BatchPlanner(max_batch=100)
-        assert planner.batch_size(row_bytes=10 ** 9) == 100
-
-    def test_with_(self):
-        planner = BatchPlanner(max_batch=8).with_(max_batch=3)
-        assert planner.batch_size() == 3
 
 
 class TestLabelBatchingBitIdentity:
@@ -56,46 +15,8 @@ class TestLabelBatchingBitIdentity:
         x = rng.normal(size=(41, 6))
         whole = CellEvaluator(paper_cell, paper_space, grid_points=21)
         sliced = CellEvaluator(paper_cell, paper_space, grid_points=21,
-                               planner=BatchPlanner(max_batch=7))
+                               max_batch=7)
         for got, want in zip(sliced.margins(x), whole.margins(x)):
             assert np.array_equal(got, want)
         assert np.array_equal(sliced.failure_labels(x, "cell"),
                               whole.failure_labels(x, "cell"))
-
-    def test_bytes_budget_is_result_neutral(self, paper_cell,
-                                            paper_space, rng):
-        x = rng.normal(size=(33, 6))
-        whole = CellEvaluator(paper_cell, paper_space, grid_points=21)
-        budget = CellEvaluator(
-            paper_cell, paper_space, grid_points=21,
-            planner=BatchPlanner(bytes_budget=5
-                                 * whole.solve_row_bytes))
-        for got, want in zip(budget.margins(x), whole.margins(x)):
-            assert np.array_equal(got, want)
-
-
-class TestBuildEvaluatorWiring:
-    def test_label_batch_knob_reaches_the_planner(self, paper_cell,
-                                                  paper_space):
-        perf = PerfConfig(cache_entries=0, label_batch=13)
-        evaluator = build_evaluator(paper_cell, paper_space,
-                                    grid_points=21, perf=perf)
-        assert evaluator.planner.max_batch == 13
-
-    def test_array_backend_knob_reaches_the_solver(self, paper_cell,
-                                                   paper_space):
-        perf = PerfConfig(cache_entries=0,
-                          array_backend="no.such.namespace")
-        evaluator = build_evaluator(paper_cell, paper_space,
-                                    grid_points=21, perf=perf)
-        backend = evaluator.solver.backend
-        assert backend.requested == "no.such.namespace"
-        assert backend.name == "numpy"  # silent fallback
-        assert backend.fallback_reason is not None
-
-    def test_exact_config_disables_fusion(self, paper_cell,
-                                          paper_space):
-        evaluator = build_evaluator(paper_cell, paper_space,
-                                    grid_points=21,
-                                    perf=PerfConfig.exact())
-        assert not evaluator.solver.batched

@@ -56,6 +56,14 @@ def always_broken(chunk):
     raise RuntimeError("always broken")
 
 
+def row_sums(chunk):
+    return chunk.sum(axis=1)
+
+
+def row_sums_with_stats(chunk):
+    return chunk.sum(axis=1), {"rows": int(chunk.shape[0])}
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestMapChunks:
     def test_pure_map_matches_direct_call(self, backend):
@@ -239,3 +247,46 @@ class TestTelemetry:
         out2 = ex.map_chunks(double, np.arange(8.0))
         ex.close()
         assert np.array_equal(out1, out2)
+
+
+class TestStatsSink:
+    @pytest.mark.parametrize("backend,where", [
+        ("serial", "serial"), ("process", "process")])
+    def test_sink_sees_every_chunk_with_provenance(self, rng,
+                                                   backend, where):
+        block = rng.normal(size=(40, 6))
+        seen = []
+
+        def sink(stats, origin):
+            seen.append((stats, origin))
+
+        with Executor(_cfg(backend, chunk_size=10)) as ex:
+            got = ex.map_chunks(row_sums_with_stats, block,
+                                stats_sink=sink)
+        assert np.array_equal(got, row_sums(block))
+        assert len(seen) == 4
+        assert all(origin == where for _, origin in seen)
+        assert sum(stats["rows"] for stats, _ in seen) == block.shape[0]
+
+    def test_empty_block_reports_through_the_sink(self):
+        seen = []
+
+        def sink(stats, origin):
+            seen.append((stats, origin))
+
+        with Executor(ExecutionConfig()) as ex:
+            got = ex.map_chunks(row_sums_with_stats,
+                                np.empty((0, 6)), stats_sink=sink)
+        assert got.shape == (0,)
+        assert seen == [({"rows": 0}, "serial")]
+
+
+class TestWithRecords:
+    def test_iter_tasks_yields_provenance(self):
+        with Executor(ExecutionConfig()) as ex:
+            pairs = list(ex.iter_tasks(
+                row_sums, [(np.ones((2, 3)),), (np.ones((4, 3)),)],
+                sizes=[2, 4], with_records=True))
+        assert [record.size for _, record in pairs] == [2, 4]
+        assert all(record.where == "serial" for _, record in pairs)
+        assert np.array_equal(pairs[0][0], np.full(2, 3.0))

@@ -36,16 +36,6 @@ class TestParser:
             ["submit", "--kind", "naive"])
         assert "max_attempts" not in cli._spec_from_args(args)
 
-    def test_submit_array_backend_reaches_the_spec(self):
-        args = cli._build_parser().parse_args(
-            ["submit", "--array-backend", "numba"])
-        assert cli._spec_from_args(args)["array_backend"] == "numba"
-
-    def test_submit_without_array_backend_omits_it(self):
-        # omitted means the spec default, keeping old wire dumps stable
-        args = cli._build_parser().parse_args(["submit"])
-        assert "array_backend" not in cli._spec_from_args(args)
-
     def test_requeue_is_exclusive_with_cancel(self, capsys):
         with pytest.raises(SystemExit):
             cli._build_parser().parse_args(

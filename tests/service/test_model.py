@@ -116,3 +116,10 @@ class TestWireFormat:
         data["state"] = "paused"
         with pytest.raises(ServiceError, match="corrupt job record"):
             JobRecord.from_dict(data)
+
+    def test_retired_spec_field_dropped_on_load(self):
+        # records stored before the array_backend knob was removed
+        # carry it in their spec; it never entered the fingerprint
+        data = make_record().as_dict()
+        data["spec"]["array_backend"] = "numpy"
+        assert JobRecord.from_dict(data) == make_record()

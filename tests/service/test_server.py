@@ -311,6 +311,12 @@ class TestHttpSurface:
         with pytest.raises(ServiceError, match=r"\(400\).*unknown spec"):
             client.submit({"warp_factor": 9})
 
+    def test_retired_spec_field_is_400(self, live):
+        daemon, client = live
+        with pytest.raises(ServiceError,
+                           match=r"\(400\).*unknown spec.*array_backend"):
+            client.submit({"kind": "naive", "array_backend": "numpy"})
+
     def test_result_before_done_is_409(self, live, monkeypatch):
         daemon, client = live
         record = daemon.store.create_job(JobSpec(), "fp-never-run", 0.0)

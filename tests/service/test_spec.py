@@ -23,8 +23,6 @@ class TestValidation:
         ({"grid_points": 2}, "grid_points"),
         ({"health_policy": "yolo"}, "health_policy"),
         ({"checkpoint_every": 0}, "checkpoint_every"),
-        ({"array_backend": ""}, "array_backend"),
-        ({"array_backend": 3}, "array_backend"),
     ])
     def test_bad_values_rejected(self, changes, match):
         with pytest.raises(ServiceError, match=match):
@@ -65,13 +63,6 @@ class TestResultFields:
         assert "checkpoint_every" not in fields
         assert "seed" in fields
         assert "kind" in fields
-
-    def test_result_neutral_perf_knobs_excluded(self):
-        # array_backend selects how margins are computed, never what
-        # they are -- jobs differing only here share a cache entry
-        assert "array_backend" not in JobSpec().result_fields()
-        assert JobSpec(array_backend="numba").result_fields() \
-            == JobSpec().result_fields()
 
     def test_order_is_canonical(self):
         assert list(JobSpec().result_fields()) \

@@ -10,6 +10,24 @@ from repro.service.model import JobState
 from repro.service.spec import JobSpec
 
 
+#: ``job.json`` of a running default-spec job, byte for byte as the
+#: release before the array_backend removal stored it.
+PREVIOUS_FORMAT_RECORD = json.dumps({
+    "attempts": 0, "cached": False, "ci_halfwidth": None,
+    "created_at": 1.0, "error": None, "fingerprint": "72c5144e85ba1205",
+    "history": [["queued", 1.0], ["running", 2.0]], "id": "job-000001",
+    "lease_expires_at": None, "lease_owner": None, "n_simulations": None,
+    "pfail": None, "schema": 1,
+    "spec": {"alpha": None, "array": None, "array_backend": "numpy",
+             "checkpoint_every": 1000, "grid_points": 61,
+             "health_policy": "strict", "kind": "estimate",
+             "max_attempts": None, "max_simulations": None,
+             "n_samples": 100000, "pfail": None, "priority": 0,
+             "quick": False, "schema": 1, "seed": 2015,
+             "target_relative_error": 0.05, "vdd": None},
+    "state": "running", "updated_at": 2.0}, indent=1, sort_keys=True) + "\n"
+
+
 def estimate(pfail=1e-4) -> FailureEstimate:
     return FailureEstimate(pfail=pfail, ci_halfwidth=1e-5,
                            n_simulations=1000,
@@ -155,6 +173,21 @@ class TestRecovery:
         queued = self._job_in_state(store, JobState.QUEUED)
         checkpointed = self._job_in_state(store, JobState.CHECKPOINTED)
         assert store.recover(at=9.0) == [queued, checkpointed]
+
+    def test_record_in_the_previous_format_recovers(self, store):
+        # a running job as the previous release wrote it: its spec
+        # still carries the since-removed array_backend key
+        job_dir = store.jobs_dir / "job-000001"
+        job_dir.mkdir(parents=True)
+        (job_dir / "job.json").write_text(PREVIOUS_FORMAT_RECORD)
+        [record] = store.list_jobs()
+        assert record.state is JobState.RUNNING
+        assert store.recover(at=9.0) == ["job-000001"]
+        recovered = store.load("job-000001")
+        assert recovered.state is JobState.CHECKPOINTED
+        assert recovered.spec == JobSpec()
+        assert recovered.fingerprint == "72c5144e85ba1205"
+        assert recovered.spec.fingerprint() == recovered.fingerprint
 
     def test_terminal_jobs_untouched(self, store):
         for state in (JobState.DONE, JobState.FAILED,

@@ -56,20 +56,6 @@ class TestBuildWiring:
                                                     workers=2))
         assert estimator.execution.backend == "thread"
 
-    def test_spec_array_backend_reaches_the_solver(self):
-        spec = NAIVE.with_(array_backend="no.such.namespace")
-        backend = job_setup(spec).evaluator.solver.backend
-        assert backend.requested == "no.such.namespace"
-        assert backend.name == "numpy"  # silent fallback, job still runs
-
-    def test_spec_array_backend_overrides_daemon_perf(self):
-        from repro.perf import PerfConfig
-
-        spec = NAIVE.with_(array_backend="no.such.namespace")
-        setup = job_setup(spec, perf=PerfConfig(cache_entries=0))
-        assert setup.evaluator.solver.backend.requested \
-            == "no.such.namespace"
-
 
 class TestExecuteJob:
     def test_fresh_run_produces_estimate(self, tmp_path):

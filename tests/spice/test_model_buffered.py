@@ -42,17 +42,6 @@ class TestScalarsAndSoftplus:
         scratch = np.empty_like(x)
         assert np.array_equal(softplus_into(buf, buf, scratch), want)
 
-    def test_softplus_into_numba_kernels_bit_identical(self, rng):
-        pytest.importorskip("numba")
-        from repro.xp import resolve_backend
-
-        kernels = resolve_backend("numba").kernels
-        x = np.ascontiguousarray(rng.normal(scale=6.0, size=(32, 9)))
-        out = np.empty_like(x)
-        scratch = np.empty_like(x)
-        assert np.array_equal(
-            softplus_into(x, out, scratch, kernels=kernels), softplus(x))
-
 
 @pytest.mark.parametrize("params", [NMOS_PTM16, PMOS_PTM16],
                          ids=["nmos", "pmos"])
@@ -103,20 +92,6 @@ class TestIdsInto:
 
 
 class TestIdsWorkspace:
-    def test_shrink_narrows_buffers(self):
-        ws = IdsWorkspace((8, 5))
-        full = ws.take()
-        assert full.shape == (8, 5)
-        ws.shrink(3)
-        ws.reset()
-        assert ws.take().shape == (3, 5)
-        assert ws.bool_buffer().shape == (3, 5)
-
-    def test_shrink_bounds_checked(self):
-        ws = IdsWorkspace((8, 5))
-        with pytest.raises(ValueError, match="rows"):
-            ws.shrink(9)
-
     def test_reset_reuses_pool(self):
         ws = IdsWorkspace((4, 3))
         first = ws.take()
