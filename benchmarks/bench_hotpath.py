@@ -1,16 +1,16 @@
 """Benchmark the repro.perf hot-path acceleration (PR 5 acceptance gate).
 
 Runs the Fig. 8 duty-ratio sweep twice -- once with the legacy exact
-evaluator, once with the accelerated one (adaptive labelling + solve
-cache) -- and asserts the acceptance criteria:
+evaluator, once with the accelerated one (adaptive labelling) -- and
+asserts the acceptance criteria:
 
 * every estimate (pfail, CI, simulation count, trace) is bit-identical
   between the two sweeps;
 * the accelerated sweep performs >= 2x fewer device-model evaluations;
-* a warm on-disk cache replays the sweep with > 50% hit rate, still
-  bit-identical;
-* thread/process backends and a kill+resume cycle (cache restored from
-  the checkpoint) reproduce the serial result exactly.
+* a warm on-disk cache (``--solve-cache``) replays the same-seed sweep
+  with > 50% hit rate, still bit-identical;
+* thread/process backends and a kill+resume cycle reproduce the serial
+  result exactly.
 
 Also micro-benchmarks the butterfly solver's in-place bisection against
 an inline reimplementation of the old ``np.where`` formulation (the
@@ -49,7 +49,7 @@ from repro.experiments.fig8 import run_fig8
 from repro.experiments.setup import paper_setup
 from repro.perf import PerfConfig, save_registered_caches
 import repro.perf as perf_pkg
-from repro.perf.report import collect_perf, merge_perf
+from repro.perf.report import collect_runs, merge_perf
 from repro.runtime import ExecutionConfig
 from repro.sram.butterfly import ReadButterflySolver
 from repro.sram.cell import SramCell
@@ -97,7 +97,7 @@ def sweep_once(scale, perf, checkpoint=None):
                       config=scale["config"], seed=SEED,
                       checkpoint=checkpoint, perf=perf)
     wall = time.perf_counter() - t0
-    return result, merge_perf(collect_perf(result)), wall
+    return result, merge_perf(collect_runs(result)[1]), wall
 
 
 # ----------------------------------------------------------------------
@@ -185,8 +185,8 @@ def bench_backends(scale) -> dict:
 
 
 def bench_resume(scale) -> dict:
-    """Kill mid-run, resume with the cache restored from the snapshot."""
-    print("== kill + resume with cache restored ==")
+    """Kill mid-run and resume: bit-identical to the uninterrupted run."""
+    print("== kill + resume ==")
 
     def estimator_for(setup):
         return EcripseEstimator(setup.space, setup.indicator,
@@ -216,16 +216,12 @@ def bench_resume(scale) -> dict:
                                     every_simulations=400, resume=True)
         manager = resuming.manager("run")
         manager.restore_into(estimator)
-        restored_entries = len(setup.evaluator.cache)
-        assert restored_entries > 0, "snapshot restored a cold cache"
         resumed = estimator.run(checkpoint=manager,
                                 target_relative_error=scale["target"])
 
     assert same_estimate(baseline, resumed), "resumed run diverged"
-    print(f"  cache entries restored from snapshot: {restored_entries:,}")
     print(f"  resumed pfail {resumed.pfail:.4e} == baseline")
-    return {"restored_cache_entries": restored_entries,
-            "pfail": resumed.pfail}
+    return {"pfail": resumed.pfail}
 
 
 def bench_butterfly(quick: bool) -> dict:

@@ -76,8 +76,7 @@ def test_naive_mc_backends():
 
     rows: dict[str, dict] = {}
     for backend in BACKENDS:
-        # fresh setup per backend: a shared evaluator would hand the
-        # later backends a fully warm solve cache and void the timing
+        # fresh setup per backend, so each row's counters start at zero
         setup = paper_setup(vdd=0.5, alpha=0.3)
         mc = NaiveMonteCarlo(setup.space, setup.indicator, setup.rtn_model,
                              seed=0, execution=_execution(backend, chunk))

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from repro.core.indicator import (
 )
 from repro.errors import CheckpointError, EstimationError
 from repro.health import HealthConfig, HealthMonitor
-from repro.perf.profile import StageProfiler, merge_spans
+from repro.perf.profile import StageProfiler
 from repro.ml.blockade import ClassifierBlockade
 from repro.rng import (
     as_generator,
@@ -58,7 +59,10 @@ from repro.rng import (
 from repro.runtime import (
     ExecutionConfig,
     Executor,
+    absorb_perf_stats,
     evaluate_indicator_stats,
+    indicator_perf_stats,
+    perf_metadata,
 )
 from repro.variability.space import VariabilitySpace
 
@@ -324,7 +328,7 @@ class EcripseEstimator:
         # Perf counters live on the (possibly sweep-shared) evaluator,
         # so this run's contribution is reported as a delta over the
         # baseline captured here.
-        self._perf_baseline = self._evaluator_perf_stats()
+        self._perf_baseline = indicator_perf_stats(self.indicator.indicator)
 
         try:
             if self._phase == "init":
@@ -348,8 +352,6 @@ class EcripseEstimator:
 
         estimate.wall_time_s = time.perf_counter() - start
         estimate.trace = list(self._trace)
-        execution = self.executor.aggregate()
-        merge_spans(execution.spans, self.profiler.as_dict())
         estimate.metadata.update({
             "boundary_simulations": self._sims_boundary,
             "stage1_simulations": self._sims_stage1,
@@ -360,41 +362,13 @@ class EcripseEstimator:
             "classifier_samples": self.blockade.n_training_samples,
             "use_classifier": cfg.use_classifier,
             "n_filters": cfg.n_filters,
-            "execution": execution.as_dict(),
-            "perf": self._perf_metadata(),
+            "execution": self.executor.aggregate().as_dict(),
+            "perf": perf_metadata(self.indicator.indicator,
+                                  self._perf_baseline,
+                                  self.profiler.as_dict()),
         })
         estimate.health = self.health.report
         return estimate
-
-    # ------------------------------------------------------------------
-    # perf telemetry
-    # ------------------------------------------------------------------
-    def _evaluator(self):
-        """The cell evaluator behind the indicator, if there is one.
-
-        ``FunctionIndicator``-style test doubles have no evaluator;
-        every perf hook degrades to span-only telemetry for them.
-        """
-        return getattr(self.indicator.indicator, "evaluator", None)
-
-    def _evaluator_perf_stats(self) -> dict:
-        evaluator = self._evaluator()
-        stats = getattr(evaluator, "perf_stats", None)
-        return stats() if callable(stats) else {}
-
-    def _perf_metadata(self) -> dict:
-        """This run's perf contribution (counter deltas + spans).
-
-        Counters are process-local telemetry: a run resumed in a fresh
-        process reports only the work done since the restore.
-        """
-        perf: dict = {"spans": self.profiler.as_dict()}
-        for key, value in self._evaluator_perf_stats().items():
-            if key == "cache_entries":
-                perf[key] = value
-            else:
-                perf[key] = value - self._perf_baseline.get(key, 0)
-        return perf
 
     # ------------------------------------------------------------------
     # stage 1: particle filtering
@@ -465,20 +439,6 @@ class EcripseEstimator:
         total = self.rtn_model.mirror(x[:, None, :] + shifts, states)
         return total.reshape(x.shape[0] * m, self.space.dim)
 
-    def _absorb_worker_stats(self, stats: dict, where: str) -> None:
-        """Merge one chunk's evaluator-counter delta into the parent.
-
-        Only process-pool chunks carry counts the parent's evaluator
-        never saw (the worker labelled on its own unpickled copy);
-        serial / thread / fallback chunks ran on the parent's evaluator
-        object, so merging them would double count.
-        """
-        if where != "process" or not stats:
-            return
-        absorb = getattr(self._evaluator(), "absorb_stats", None)
-        if callable(absorb):
-            absorb(stats)
-
     def _simulate_labels(self, total: np.ndarray) -> np.ndarray:
         """Transistor-level labels for ``total``, chunk-parallel.
 
@@ -491,12 +451,13 @@ class EcripseEstimator:
         the process backend.
         """
         total = np.atleast_2d(np.asarray(total, dtype=float))
+        raw = self.indicator.indicator
 
         def dispatch() -> np.ndarray:
             return self.executor.map_chunks(
-                evaluate_indicator_stats, total, self.indicator.indicator,
+                evaluate_indicator_stats, total, raw,
                 simulations=total.shape[0], label="simulate-labels",
-                stats_sink=self._absorb_worker_stats)
+                stats_sink=partial(absorb_perf_stats, raw))
 
         # The health guard retries ConvergenceError batches (and is the
         # solver fault-injection seam); injection raises *before*
@@ -678,31 +639,14 @@ class EcripseEstimator:
             "accumulator": self._accumulator.state(),
             "trace": [point.as_dict() for point in self._trace],
             "health": self.health.state(),
-            "solve_cache": self._cache_snapshot(),
         }
-
-    def _cache_snapshot(self) -> dict | None:
-        """The evaluator's solve-cache state, if one is attached.
-
-        Riding the checkpoint lets a resumed run start with the warm
-        cache the killed run had built up -- pure acceleration, so older
-        snapshots without the key restore fine (cold cache).
-        """
-        cache = getattr(self._evaluator(), "cache", None)
-        return None if cache is None else cache.state()
-
-    def _cache_restore(self, state: dict | None) -> None:
-        cache = getattr(self._evaluator(), "cache", None)
-        if cache is not None and state is not None:
-            # A fingerprint mismatch (different solve configuration)
-            # just leaves the cache cold; results never depend on it.
-            cache.restore_state(state)
 
     def restore_state(self, state: dict) -> None:
         """Restore a :meth:`state_snapshot`; continues bit-identically.
 
         Raises :class:`~repro.errors.CheckpointError` when the snapshot
-        tree does not have the expected shape.
+        tree does not have the expected shape.  Older snapshots also
+        carry a ``solve_cache`` entry, which is ignored.
         """
         try:
             phase = str(state["phase"])
@@ -734,9 +678,6 @@ class EcripseEstimator:
             # below: the rebuild consults its widening multiplier and
             # quarantine set.
             self.health.restore_state(state["health"])
-            # Older snapshots predate the solve cache; .get degrades to
-            # a cold cache instead of rejecting them.
-            self._cache_restore(state.get("solve_cache"))
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"invalid {self.method} snapshot: {exc}") from exc

@@ -5,14 +5,10 @@ process variability from the prior, RTN shifts and the stored state from
 the RTN model, simulate every sample.  Confidence intervals use the Wilson
 score, which stays sensible at small failure counts.
 
-With an :class:`~repro.runtime.config.ExecutionConfig` the sample block
-is split into chunks, each drawn from its own child generator and
-simulated as one runtime task.  The chunk decomposition is
+The sample block is split into chunks, each drawn from its own child
+generator and simulated as one runtime task.  The chunk decomposition is
 backend-independent, so for a fixed seed the ``serial``, ``thread`` and
-``process`` backends produce the bit-identical estimate; it is however a
-*different* (equally valid) stream decomposition than the legacy
-single-stream loop, which remains the default when no execution config is
-given.
+``process`` backends produce the bit-identical estimate.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ from repro.core.indicator import (
     SimulationCounter,
 )
 from repro.errors import CheckpointError
-from repro.perf.profile import StageProfiler, merge_spans
 from repro.rng import (
     as_generator,
     rng_from_state,
@@ -40,42 +35,31 @@ from repro.rng import (
 from repro.runtime import (
     ExecutionConfig,
     Executor,
+    absorb_perf_stats,
+    evaluate_indicator_stats,
     indicator_perf_stats,
-    perf_stats_delta,
+    perf_metadata,
 )
 from repro.runtime.chunking import chunk_sizes
 from repro.variability.space import VariabilitySpace
 
 
-def sample_and_label_chunk(n: int, rng: np.random.Generator,
-                           space, indicator, rtn_model) -> tuple[int, int]:
-    """Draw and simulate one naive-MC chunk; returns (failures, samples).
-
-    Module-level so the process backend can pickle it.  The indicator is
-    the raw (non-counting) one -- the parent accounts for simulations as
-    it consumes chunk results.
-    """
-    x = space.sample(n, rng)
-    shifts, states = rtn_model.sample(n, rng)
-    total = rtn_model.mirror(x + shifts, states)
-    return int(np.sum(indicator.evaluate(total))), n
-
-
 def sample_and_label_chunk_stats(n: int, rng: np.random.Generator,
                                  space, indicator, rtn_model
                                  ) -> tuple[tuple[int, int], dict]:
-    """:func:`sample_and_label_chunk` plus the evaluator-counter delta.
+    """Draw and simulate one naive-MC chunk; returns ``(failures,
+    samples)`` and the evaluator-counter delta.
 
-    On the process backend the worker labels on its own unpickled copy
-    of the evaluator, so its perf counters (device-model evals, cache
-    traffic) never reach the parent; the delta measured here -- inside
-    the task, against whatever counts the copy started with -- is
-    exactly this chunk's contribution, merged back by the parent for
-    process-pool chunks only.
+    Module-level so the process backend can pickle it.  The indicator is
+    the raw (non-counting) one -- the parent accounts for simulations as
+    it consumes chunk results, and merges the counter delta back with
+    :func:`~repro.runtime.tasks.absorb_perf_stats`.
     """
-    before = indicator_perf_stats(indicator)
-    result = sample_and_label_chunk(n, rng, space, indicator, rtn_model)
-    return result, perf_stats_delta(before, indicator_perf_stats(indicator))
+    x = space.sample(n, rng)
+    shifts, states = rtn_model.sample(n, rng)
+    labels, delta = evaluate_indicator_stats(
+        rtn_model.mirror(x + shifts, states), indicator)
+    return (int(np.sum(labels)), n), delta
 
 
 class NaiveMonteCarlo:
@@ -93,13 +77,11 @@ class NaiveMonteCarlo:
     rtn_model:
         RTN sampler (or the null model).
     batch_size:
-        Samples per vectorised batch (also the default chunk size of the
-        parallel path).
+        Samples per chunk unless ``execution.chunk_size`` sets one.
     execution:
-        Optional :class:`~repro.runtime.config.ExecutionConfig`; when
-        given, the run executes through the parallel runtime (one task
-        per chunk, one child RNG per chunk).  ``None`` keeps the legacy
-        single-stream loop bit-identical to previous releases.
+        :class:`~repro.runtime.config.ExecutionConfig` the chunks run
+        through (default: serial, one task per chunk, one child RNG per
+        chunk).
     """
 
     #: per-run perf-counter baseline, recaptured at the top of every
@@ -117,12 +99,11 @@ class NaiveMonteCarlo:
         self.rng = as_generator(seed)
         self.counter = SimulationCounter()
         self.indicator = CountingIndicator(indicator, self.counter)
-        self.execution = execution
-        self.executor = (Executor(execution, counter=self.counter)
-                         if execution is not None else None)
-        # Resumable-run progress (see state_snapshot).  ``_mode`` is None
-        # until run() commits to the legacy or the chunked path.
-        self._mode: str | None = None
+        self.execution = (execution if execution is not None
+                          else ExecutionConfig())
+        self.executor = Executor(self.execution, counter=self.counter)
+        # Resumable-run progress (see state_snapshot); ``_n_samples`` is
+        # 0 until run() starts.
         self._n_samples = 0
         self._fails = 0
         self._drawn = 0
@@ -131,7 +112,6 @@ class NaiveMonteCarlo:
         self._chunk: int | None = None
         self._entry_rng: dict | None = None
         self._trace: list[TracePoint] = []
-        self.profiler = StageProfiler()
         self._perf_baseline: dict = {}
 
     # ------------------------------------------------------------------
@@ -141,84 +121,30 @@ class NaiveMonteCarlo:
         """Estimate P_fail from up to ``n_samples`` simulations.
 
         Stops early if ``target_relative_error`` (CI95 half-width over
-        estimate) is reached.  ``checkpoint`` (a
+        estimate) is reached.  The stopping rule is evaluated on the
+        ordered chunk prefix, so the consumed sample count -- and
+        therefore the estimate -- does not depend on the backend or on
+        out-of-order completion (chunks speculatively computed past an
+        early stop are discarded and not counted).
+
+        ``checkpoint`` (a
         :class:`~repro.checkpoint.manager.CheckpointManager`) snapshots
-        after every batch (legacy path) or consumed chunk (parallel
-        path); a restored estimator must be re-run with the same
-        ``n_samples``.
+        after every consumed chunk; a restored estimator must be re-run
+        with the same ``n_samples``.  The parent generator state is
+        captured *before* the chunk RNGs are spawned, so a resumed run
+        re-derives the identical chunk streams and simply skips the
+        ``_cursor`` chunks already consumed.
         """
         if n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-        if self._mode is not None and self._n_samples != n_samples:
+        if self._n_samples and self._n_samples != n_samples:
             raise CheckpointError(
                 f"snapshot was taken for n_samples="
                 f"{self._n_samples}, cannot resume with {n_samples}")
         self._n_samples = n_samples
-        self._perf_baseline = self._evaluator_perf_stats()
-        if self.executor is not None:
-            if self._mode == "legacy":
-                raise CheckpointError(
-                    "snapshot comes from the single-stream path; resume "
-                    "without an execution config")
-            return self._run_chunked(n_samples, target_relative_error,
-                                     checkpoint)
-        if self._mode == "chunked":
-            raise CheckpointError(
-                "snapshot comes from the chunked path; resume with an "
-                "execution config")
-        self._mode = "legacy"
+        raw = self.indicator.indicator
+        self._perf_baseline = indicator_perf_stats(raw)
         start = time.perf_counter()
-        while not self._stopped and self._drawn < n_samples:
-            batch = min(self.batch_size, n_samples - self._drawn)
-            with self.profiler.span("mc-sample"):
-                x = self.space.sample(batch, self.rng)
-                shifts, states = self.rtn_model.sample(batch, self.rng)
-                total = self.rtn_model.mirror(x + shifts, states)
-            with self.profiler.span("mc-label"):
-                self._fails += int(np.sum(self.indicator.evaluate(total)))
-            self._drawn += batch
-
-            estimate, halfwidth = wilson_interval(self._fails, self._drawn)
-            self._trace.append(TracePoint(
-                n_simulations=self.counter.count, estimate=estimate,
-                ci_halfwidth=halfwidth, n_statistical_samples=self._drawn))
-            # Stop decision before the snapshot, so a resumed run never
-            # draws a batch the uninterrupted run would have skipped.
-            if (target_relative_error is not None and estimate > 0.0
-                    and halfwidth / estimate <= target_relative_error):
-                self._stopped = True
-            if checkpoint is not None:
-                checkpoint.maybe_save(self, self.counter.count)
-
-        estimate, halfwidth = wilson_interval(self._fails, self._drawn)
-        return FailureEstimate(
-            pfail=estimate, ci_halfwidth=halfwidth,
-            n_simulations=self.counter.count,
-            n_statistical_samples=self._drawn,
-            method="naive-mc", wall_time_s=time.perf_counter() - start,
-            trace=list(self._trace),
-            metadata={"failures": self._fails,
-                      "perf": self._perf_metadata()})
-
-    # ------------------------------------------------------------------
-    def _run_chunked(self, n_samples: int,
-                     target_relative_error: float | None,
-                     checkpoint=None) -> FailureEstimate:
-        """Parallel path: one runtime task per chunk, one child RNG each.
-
-        The stopping rule is evaluated on the ordered chunk prefix, so
-        the consumed sample count -- and therefore the estimate -- does
-        not depend on the backend or on out-of-order completion (chunks
-        speculatively computed past an early stop are discarded and not
-        counted).
-
-        Resumability: the parent generator state is captured *before*
-        the chunk RNGs are spawned, so a resumed run re-derives the
-        identical chunk streams and simply skips the ``_cursor`` chunks
-        already consumed.
-        """
-        start = time.perf_counter()
-        self._mode = "chunked"
         chunk = (self.execution.chunk_size if self.execution.chunk_size
                  is not None else self.batch_size)
         if self._chunk is None:
@@ -230,8 +156,8 @@ class NaiveMonteCarlo:
                 f"resume with chunk size {chunk}")
         sizes = chunk_sizes(n_samples, self._chunk)
         rngs = spawn(rng_from_state(self._entry_rng), len(sizes))
-        tasks = [(n, rng, self.space, self.indicator.indicator,
-                  self.rtn_model) for n, rng in zip(sizes, rngs)]
+        tasks = [(n, rng, self.space, raw, self.rtn_model)
+                 for n, rng in zip(sizes, rngs)]
 
         try:
             if not self._stopped and self._cursor < len(sizes):
@@ -241,7 +167,7 @@ class NaiveMonteCarlo:
                     with_records=True)
                 try:
                     for ((n_fail, n), stats), record in results:
-                        self._absorb_worker_stats(stats, record.where)
+                        absorb_perf_stats(raw, stats, record.where)
                         self.counter.add(n)
                         self._fails += n_fail
                         self._drawn += n
@@ -267,8 +193,6 @@ class NaiveMonteCarlo:
             self.executor.close()
 
         estimate, halfwidth = wilson_interval(self._fails, self._drawn)
-        execution = self.executor.aggregate()
-        merge_spans(execution.spans, self.profiler.as_dict())
         return FailureEstimate(
             pfail=estimate, ci_halfwidth=halfwidth,
             n_simulations=self.counter.count,
@@ -276,40 +200,8 @@ class NaiveMonteCarlo:
             method="naive-mc", wall_time_s=time.perf_counter() - start,
             trace=list(self._trace),
             metadata={"failures": self._fails,
-                      "execution": execution.as_dict(),
-                      "perf": self._perf_metadata()})
-
-    # ------------------------------------------------------------------
-    # perf telemetry (see EcripseEstimator for the delta rationale)
-    # ------------------------------------------------------------------
-    def _evaluator_perf_stats(self) -> dict:
-        evaluator = getattr(self.indicator.indicator, "evaluator", None)
-        stats = getattr(evaluator, "perf_stats", None)
-        return stats() if callable(stats) else {}
-
-    def _absorb_worker_stats(self, stats: dict, where: str) -> None:
-        """Merge a process-pool chunk's evaluator-counter delta.
-
-        Serial / thread / fallback chunks ran on the parent's own
-        evaluator object, so their counts are already in; only the
-        process backend's unpickled worker copies do work the parent
-        never sees.
-        """
-        if where != "process" or not stats:
-            return
-        evaluator = getattr(self.indicator.indicator, "evaluator", None)
-        absorb = getattr(evaluator, "absorb_stats", None)
-        if callable(absorb):
-            absorb(stats)
-
-    def _perf_metadata(self) -> dict:
-        perf: dict = {"spans": self.profiler.as_dict()}
-        for key, value in self._evaluator_perf_stats().items():
-            if key == "cache_entries":
-                perf[key] = value
-            else:
-                perf[key] = value - self._perf_baseline.get(key, 0)
-        return perf
+                      "execution": self.executor.aggregate().as_dict(),
+                      "perf": perf_metadata(raw, self._perf_baseline, {})})
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -324,7 +216,6 @@ class NaiveMonteCarlo:
     def state_snapshot(self) -> dict:
         """Complete resumable state at a batch/chunk boundary."""
         return {
-            "mode": self._mode,
             "n_samples": self._n_samples,
             "fails": self._fails,
             "drawn": self._drawn,
@@ -335,22 +226,22 @@ class NaiveMonteCarlo:
             "rng": rng_state(self.rng),
             "entry_rng": self._entry_rng,
             "trace": [point.as_dict() for point in self._trace],
-            "solve_cache": self._cache_snapshot(),
         }
 
-    def _cache_snapshot(self) -> dict | None:
-        cache = getattr(
-            getattr(self.indicator.indicator, "evaluator", None),
-            "cache", None)
-        return None if cache is None else cache.state()
-
     def restore_state(self, state: dict) -> None:
-        """Restore a :meth:`state_snapshot`; continues bit-identically."""
+        """Restore a :meth:`state_snapshot`; continues bit-identically.
+
+        Older snapshots carry a ``mode`` and a ``solve_cache`` entry;
+        both are ignored, except that a snapshot of the removed
+        single-stream loop is refused: its fingerprint matches, but its
+        random stream is not the chunked one.
+        """
         try:
-            mode = state["mode"]
-            if mode not in (None, "legacy", "chunked"):
-                raise ValueError(f"unknown mode {mode!r}")
-            self._mode = mode
+            if "mode" in state and state["mode"] == "legacy":
+                raise CheckpointError(
+                    "naive-mc snapshot comes from the removed "
+                    "single-stream path and cannot resume on the chunked "
+                    "one; start the run over")
             self._n_samples = int(state["n_samples"])
             self._fails = int(state["fails"])
             self._drawn = int(state["drawn"])
@@ -363,13 +254,6 @@ class NaiveMonteCarlo:
             self._entry_rng = state["entry_rng"]
             self._trace = [TracePoint.from_dict(point)
                            for point in state["trace"]]
-            # Older snapshots predate the solve cache (.get -> cold).
-            cache_state = state.get("solve_cache")
-            cache = getattr(
-                getattr(self.indicator.indicator, "evaluator", None),
-                "cache", None)
-            if cache is not None and cache_state is not None:
-                cache.restore_state(cache_state)
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"invalid naive-mc snapshot: {exc}") from exc

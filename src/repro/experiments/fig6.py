@@ -61,7 +61,7 @@ def run_fig6(target_relative_error: float = 0.02,
         Safety cap for the baseline.
     perf:
         Hot-path acceleration policy (see :mod:`repro.perf`); both
-        estimators share the evaluator and therefore the solve cache.
+        estimators share the evaluator.
     """
     setup = paper_setup(vdd=vdd, perf=perf)
     config = config if config is not None else EcripseConfig()

@@ -88,7 +88,7 @@ def run_fig7(alpha_a: float = 0.3, alpha_b: float = 0.5,
     (b) run still reuses the (a) run's boundary and classifier.
 
     ``perf`` tunes the hot-path acceleration; all three runs (the naive
-    baseline included) share one evaluator and thus one solve cache.
+    baseline included) share one evaluator.
     """
     setup_a = paper_setup(vdd=TABLE_I.vdd_low, alpha=alpha_a, perf=perf)
     config = config if config is not None else EcripseConfig()
@@ -97,15 +97,12 @@ def run_fig7(alpha_a: float = 0.3, alpha_b: float = 0.5,
                     else [checkpoint.crash_after])
 
     # The naive baseline rides the same execution backend as the
-    # estimator; the legacy single-stream loop is kept for serial runs so
-    # default results match previous releases bit for bit.
+    # estimator.
     naive = run_checkpointed(
         checkpoint, "naive",
         NaiveMonteCarlo(
             setup_a.space, setup_a.indicator, setup_a.rtn_model,
-            seed=stable_seed(seed, "naive"),
-            execution=(config.execution if config.execution.is_parallel
-                       else None)),
+            seed=stable_seed(seed, "naive"), execution=config.execution),
         crash_budget=crash_budget, n_samples=naive_samples)
     estimator_a = EcripseEstimator(
         setup_a.space, setup_a.indicator, setup_a.rtn_model, config=config,

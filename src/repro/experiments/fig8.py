@@ -80,9 +80,8 @@ def run_fig8(alphas=DEFAULT_ALPHAS, target_relative_error: float = 0.05,
     invocation resumes mid-point without repeating finished points.
 
     ``perf`` tunes the hot-path acceleration (see :mod:`repro.perf`);
-    the evaluator -- and with it the solve cache -- is shared across the
-    no-RTN point and every sweep point, so later points hit work the
-    earlier ones already solved.
+    the evaluator is shared across the no-RTN point and every sweep
+    point.
     """
     setup = paper_setup(vdd=vdd, perf=perf)
     config = config if config is not None else EcripseConfig()

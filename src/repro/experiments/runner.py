@@ -17,6 +17,7 @@ a smoke test; the printed numbers then carry wider error bars).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from repro.checkpoint import (
@@ -29,12 +30,10 @@ from repro.errors import CheckpointCrash, ShutdownRequested
 from repro.experiments import ablations, fig6, fig7, fig8
 from repro.experiments.setup import paper_setup
 from repro.health import HealthConfig, HealthPolicy, HealthReport
-from repro.health import collect_reports
 from repro.perf import (
     PerfConfig,
-    collect_perf,
+    collect_runs,
     merge_perf,
-    render_json,
     render_text,
     save_registered_caches,
 )
@@ -71,10 +70,12 @@ def _add_common_args(cmd: argparse.ArgumentParser) -> None:
                           "recovery paths within thresholds, permissive "
                           "accepts best-effort results beyond them "
                           "(default: strict; see docs/ROBUSTNESS.md)")
-    cmd.add_argument("--health-report", choices=("text", "json"),
+    cmd.add_argument("--report", choices=("text", "json"),
                      default=None, metavar="{text,json}",
-                     help="print the aggregated health report after "
-                          "the run (events, recoveries, bias flags)")
+                     help="print the aggregated health report (events, "
+                          "recoveries, bias flags) and perf report "
+                          "(stage spans, device-model evaluations, cache "
+                          "hit rates) after the run")
     # Test/CI fault injector: deterministically force one fault class
     # (solver | filter | is-weight | one-class, optionally :count:skip)
     # so the recovery paths are exercisable from the shell.
@@ -82,19 +83,15 @@ def _add_common_args(cmd: argparse.ArgumentParser) -> None:
                      help=argparse.SUPPRESS)
     cmd.add_argument("--exact-eval", action="store_true",
                      help="disable the hot-path acceleration (adaptive "
-                          "screening + solve cache); results are "
+                          "screening and any solve cache); results are "
                           "bit-identical either way, this is the escape "
                           "hatch / A-B reference")
     cmd.add_argument("--solve-cache", default=None, metavar="DIR",
-                     help="directory for on-disk solve-cache "
-                          "persistence; warmed caches are reloaded on "
-                          "the next invocation (ignored with "
+                     help="attach a solve cache kept in this "
+                          "directory; it is reloaded on the next "
+                          "invocation and hits when a same-seed rerun "
+                          "solves the same rows (ignored with "
                           "--exact-eval)")
-    cmd.add_argument("--perf-report", choices=("text", "json"),
-                     default=None, metavar="{text,json}",
-                     help="print the aggregated perf report after the "
-                          "run (stage spans, device-model evaluations, "
-                          "cache hit rates)")
 
 
 def _add_checkpoint_args(cmd: argparse.ArgumentParser) -> None:
@@ -265,8 +262,6 @@ def _run_array(args, config: EcripseConfig,
                checkpoint: CheckpointConfig | None,
                perf: PerfConfig | None) -> tuple[int, object]:
     """The ``array`` subcommand: decision tables from a pfail."""
-    import json
-
     from repro.analysis.ecc import analyze_array
 
     array_config = _array_config(args)
@@ -346,8 +341,8 @@ def main(argv: list[str] | None = None) -> int:
         code, result = _dispatch(args, config, execution, checkpoint, perf)
     except CheckpointCrash as crash:
         # The kill/resume test harness's simulated crash: the snapshot
-        # it announces is durably on disk, so exit distinctly.  The
-        # warm cache still persists -- resume restarts from it.
+        # it announces is durably on disk, so exit distinctly.  An
+        # on-disk solve cache is saved too.
         save_registered_caches()
         print(f"injected crash: {crash}", file=sys.stderr)
         return 3
@@ -360,17 +355,25 @@ def main(argv: list[str] | None = None) -> int:
         if coordinator is not None:
             coordinator.uninstall()
     save_registered_caches()
-    if args.health_report is not None:
-        merged = HealthReport.merged(collect_reports(result))
-        if not merged.events:
-            merged.policy = health.policy.value
-        print(merged.render_json() if args.health_report == "json"
-              else merged.render_text())
-    if args.perf_report is not None:
-        perf_merged = merge_perf(collect_perf(result))
-        print(render_json(perf_merged) if args.perf_report == "json"
-              else render_text(perf_merged))
+    if args.report is not None:
+        _print_report(result, args.report, health.policy.value)
     return code
+
+
+def _print_report(result: object, fmt: str, policy: str) -> None:
+    """Print the merged health and perf reports of every run in
+    ``result``: text, or one ``{"health": ..., "perf": ...}`` object."""
+    reports, perfs = collect_runs(result)
+    health = HealthReport.merged(reports)
+    if not health.events:
+        health.policy = policy
+    perf = merge_perf(perfs)
+    if fmt == "json":
+        print(json.dumps({"health": health.as_dict(), "perf": perf},
+                         indent=2))
+    else:
+        print(health.render_text())
+        print(render_text(perf))
 
 
 def _dispatch(args, config: EcripseConfig, execution: ExecutionConfig,
@@ -378,10 +381,8 @@ def _dispatch(args, config: EcripseConfig, execution: ExecutionConfig,
               perf: PerfConfig | None = None) -> tuple[int, object]:
     """Run one subcommand; returns (exit code, result object).
 
-    The result object is handed to
-    :func:`repro.health.events.collect_reports` so ``--health-report``
-    (and its perf twin, ``--perf-report``) can aggregate every estimate
-    the command produced.
+    The result object is handed to :func:`repro.perf.collect_runs` so
+    ``--report`` can aggregate every estimate the command produced.
     """
     result: object = None
     if args.command == "fig6":

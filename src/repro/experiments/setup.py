@@ -84,9 +84,9 @@ def paper_setup(vdd: float | None = None, alpha: float | None = None,
         Butterfly grid resolution of the evaluator.
     perf:
         Hot-path acceleration policy (see :mod:`repro.perf`); ``None``
-        means the default config -- adaptive labelling and an in-memory
-        solve cache, both result-neutral.  ``PerfConfig.exact()``
-        restores the unaccelerated legacy evaluator.
+        means the default config -- adaptive labelling, result-neutral,
+        and no solve cache.  ``PerfConfig.exact()`` restores the
+        unaccelerated legacy evaluator.
     """
     vdd = conditions.vdd_nominal if vdd is None else float(vdd)
     space = VariabilitySpace.from_pelgrom(conditions.avth_mv_nm,

@@ -68,9 +68,9 @@ def find_vmin(pfail_budget: float, vdd_low: float = 0.45,
         Bisection stops when the bracket is narrower than this [V].
     perf:
         Hot-path acceleration policy.  Every probe point runs at a
-        different supply (a different solve fingerprint), so the memo
-        cache only helps within a probe -- unless ``cache_path`` is set,
-        in which case repeated searches reuse each other's solves.
+        different supply (a different solve fingerprint); with
+        ``cache_path`` set, only a repeated search with the same seed
+        solves the same rows again and hits the cache.
     """
     if pfail_budget <= 0 or pfail_budget >= 1:
         raise ValueError("pfail_budget must lie in (0, 1)")

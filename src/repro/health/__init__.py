@@ -17,7 +17,7 @@ recovery paths sit behind a :class:`HealthPolicy`:
 
 Everything flows into a structured :class:`HealthReport` attached to
 the :class:`~repro.core.estimate.FailureEstimate`, serialised through
-checkpoints and rendered by the CLI's ``--health-report`` flag.  The
+checkpoints and rendered by the CLI's ``--report`` flag.  The
 deterministic :class:`FaultInjector` exercises every recovery path in
 tests and CI.  See ``docs/ROBUSTNESS.md`` for the full contract.
 """
@@ -27,7 +27,6 @@ from repro.health.events import (
     SEVERITIES,
     HealthEvent,
     HealthReport,
-    collect_reports,
 )
 from repro.health.inject import FAULT_KINDS, FaultInjector, parse_fault_spec
 from repro.health.monitor import HealthMonitor
@@ -44,7 +43,6 @@ __all__ = [
     "HealthMonitor",
     "HealthPolicy",
     "HealthReport",
-    "collect_reports",
     "parse_fault_spec",
     "solve_with_recovery",
 ]

@@ -5,7 +5,7 @@ Every guardrail detection and recovery action becomes one
 :class:`HealthReport` that is attached to the
 :class:`~repro.core.estimate.FailureEstimate`, serialised through
 checkpoint snapshots (plain dict trees only, so the codec's strict type
-policy accepts it) and rendered by the CLI's ``--health-report`` flag.
+policy accepts it) and rendered by the CLI's ``--report`` flag.
 
 Determinism matters here: events carry *logical* positions (stage,
 iteration, batch) and never wall-clock timestamps, so a killed and
@@ -191,37 +191,3 @@ class HealthReport:
         if not self.events:
             lines.append("  no degradation detected")
         return "\n".join(lines)
-
-
-def collect_reports(result: object, _depth: int = 0) -> list[HealthReport]:
-    """Recursively harvest :class:`HealthReport` objects from ``result``.
-
-    Walks dataclass-like result containers (``fig6``/``fig7``/... result
-    objects, lists of estimates, vmin probe tuples) and collects the
-    ``health`` attribute of every estimate encountered.  Used by the CLI
-    to aggregate ``--health-report`` output across multi-run commands.
-    """
-    if _depth > 6 or result is None:
-        return []
-    if isinstance(result, HealthReport):
-        return [result]
-    reports: list[HealthReport] = []
-    health = getattr(result, "health", None)
-    if isinstance(health, HealthReport):
-        reports.append(health)
-    if isinstance(result, dict):
-        children = list(result.values())
-    elif isinstance(result, (list, tuple)):
-        children = list(result)
-    elif hasattr(result, "__dataclass_fields__"):
-        children = [getattr(result, name)
-                    for name in result.__dataclass_fields__]
-    else:
-        children = []
-    for child in children:
-        if child is health:  # already collected via the attribute
-            continue
-        if isinstance(child, (str, bytes, int, float, bool)):
-            continue
-        reports.extend(collect_reports(child, _depth + 1))
-    return reports

@@ -229,8 +229,7 @@ FINGERPRINT_CONTRACTS: tuple[FingerprintContract, ...] = (
     FingerprintContract(
         cls="repro.perf.config.PerfConfig",
         excluded=frozenset({
-            "adaptive", "coarse_iterations", "guard_safety",
-            "cache_entries", "cache_path",
+            "adaptive", "coarse_iterations", "guard_safety", "cache_path",
         })),
 )
 

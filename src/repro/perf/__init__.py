@@ -6,11 +6,12 @@ Three cooperating pieces, all result-neutral:
   label batches at reduced bisection depth and refines only samples
   inside a provably safe guard band (labels bit-identical to the exact
   path);
-* :class:`~repro.perf.cache.SolveCache` -- an LRU memo of butterfly
-  solves keyed on exact ΔVth bytes plus a solve-configuration
-  fingerprint, shared across sweeps, repeats and checkpoint resume;
+* :class:`~repro.perf.cache.SolveCache` -- an opt-in LRU memo of
+  butterfly solves keyed on exact ΔVth bytes plus a solve-configuration
+  fingerprint, kept in the ``--solve-cache`` directory; it hits only
+  when the same rows are solved again (a same-seed rerun);
 * :class:`~repro.perf.profile.StageProfiler` -- ``perf_counter`` spans
-  around the estimator stages, surfaced through ``--perf-report``.
+  around the estimator stages, surfaced through ``--report``.
 
 :func:`build_evaluator` assembles an evaluator from a
 :class:`~repro.perf.config.PerfConfig`; the CLI's ``--exact-eval`` flag
@@ -26,7 +27,7 @@ from repro.perf.adaptive import AdaptiveMarginEvaluator, margin_guard_band
 from repro.perf.cache import SolveCache
 from repro.perf.config import PerfConfig
 from repro.perf.profile import StageProfiler, merge_spans
-from repro.perf.report import (collect_perf, merge_perf, render_json,
+from repro.perf.report import (collect_runs, merge_perf, render_json,
                                render_text)
 from repro.sram.cell import SramCell
 from repro.sram.evaluator import CellEvaluator
@@ -39,7 +40,7 @@ __all__ = [
     "SolveCache",
     "StageProfiler",
     "build_evaluator",
-    "collect_perf",
+    "collect_runs",
     "margin_guard_band",
     "merge_perf",
     "merge_spans",
@@ -58,11 +59,11 @@ def build_evaluator(cell: SramCell, space: VariabilitySpace,
                     perf: PerfConfig | None = None) -> CellEvaluator:
     """Assemble a (possibly accelerated) cell evaluator.
 
-    ``perf=None`` means the default :class:`PerfConfig` -- adaptive
-    screening and an in-memory cache, both on.  With
-    ``PerfConfig.exact()`` this returns a plain uncached
-    :class:`~repro.sram.evaluator.CellEvaluator`, byte-for-byte the
-    legacy construction.
+    ``perf=None`` means the default :class:`PerfConfig`: adaptive
+    screening, no cache.  With ``PerfConfig.exact()`` this returns a
+    plain :class:`~repro.sram.evaluator.CellEvaluator`, byte-for-byte
+    the legacy construction.  A solve cache is attached only when
+    ``perf.cache_path`` names its directory.
     """
     if perf is None:
         perf = PerfConfig()
@@ -74,21 +75,16 @@ def build_evaluator(cell: SramCell, space: VariabilitySpace,
     else:
         evaluator = CellEvaluator(cell, space, vdd=vdd,
                                   grid_points=grid_points)
-    if perf.caching:
+    if perf.cache_path is not None:
         # Attach the cache after construction: the fingerprint comes
         # from the finished evaluator, so the adaptive screening depth
         # participates and stale coarse entries can never be loaded.
         fingerprint = evaluator.solve_fingerprint()
-        if perf.cache_path is not None:
-            key = (str(Path(perf.cache_path).resolve()), fingerprint)
-            cache = _REGISTERED_CACHES.get(key)
-            if cache is None:
-                cache = SolveCache.load(perf.cache_path, fingerprint,
-                                        max_entries=perf.cache_entries)
-                _REGISTERED_CACHES[key] = cache
-        else:
-            cache = SolveCache(fingerprint,
-                               max_entries=perf.cache_entries)
+        key = (str(Path(perf.cache_path).resolve()), fingerprint)
+        cache = _REGISTERED_CACHES.get(key)
+        if cache is None:
+            cache = SolveCache.load(perf.cache_path, fingerprint)
+            _REGISTERED_CACHES[key] = cache
         evaluator.cache = cache
     return evaluator
 

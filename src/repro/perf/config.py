@@ -36,12 +36,11 @@ class PerfConfig:
         interpolation corner cases discussed in ``docs/PERFORMANCE.md``
         -- empirically the bound itself has >3x headroom over the worst
         observed coarse error.
-    cache_entries:
-        LRU capacity of the :class:`~repro.perf.cache.SolveCache`
-        (entries, not bytes; one entry is ~100 B).  0 disables caching.
     cache_path:
-        Optional directory for on-disk cache persistence: caches are
-        loaded from it at evaluator construction and saved back by
+        Optional directory for the :class:`~repro.perf.cache.SolveCache`
+        (``--solve-cache``).  Without it the evaluator has no cache;
+        with it the cache is loaded from the directory at evaluator
+        construction and saved back by
         :func:`repro.perf.save_registered_caches` (the CLI does this
         after every run), one file per solve fingerprint.
     """
@@ -49,7 +48,6 @@ class PerfConfig:
     adaptive: bool = True
     coarse_iterations: int = 12
     guard_safety: float = 2.0
-    cache_entries: int = 100_000
     cache_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -59,22 +57,16 @@ class PerfConfig:
             raise ValueError(
                 "guard_safety must be >= 1 (the guard band may only be "
                 "widened beyond the analytic bound, never narrowed)")
-        if self.cache_entries < 0:
-            raise ValueError("cache_entries must be >= 0")
-
-    @property
-    def caching(self) -> bool:
-        return self.cache_entries > 0
 
     @classmethod
     def exact(cls) -> "PerfConfig":
         """The unaccelerated legacy path (``--exact-eval``).
 
-        Disables adaptivity and caching, reproducing the fixed-budget
-        solve -- the reference every acceleration is gated bit-identical
-        against in ``bench_hotpath``.
+        Disables adaptivity, reproducing the fixed-budget solve -- the
+        reference every acceleration is gated bit-identical against in
+        ``bench_hotpath``.
         """
-        return cls(adaptive=False, cache_entries=0)
+        return cls(adaptive=False)
 
     def with_(self, **changes) -> "PerfConfig":
         """Return a copy with ``changes`` applied (dataclass replace)."""

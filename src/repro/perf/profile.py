@@ -4,9 +4,8 @@
 (``perf_counter``-based, telemetry only -- REP002-legal) around the
 estimator's phases: boundary search, stage-1 prediction/labelling/
 resampling, classifier train/predict, stage-2 sampling/labelling.  The
-span table folds into :class:`~repro.runtime.metrics.RunMetrics` and
-into ``FailureEstimate.metadata["perf"]``, which the CLI renders via
-``--perf-report``.
+span table lives in ``FailureEstimate.metadata["perf"]``, which the CLI
+renders via ``--report``.
 
 Spans may nest (``stage2-label`` encloses ``classifier-predict``); each
 accumulator is independent, so nested totals overlap rather than

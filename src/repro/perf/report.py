@@ -1,11 +1,12 @@
-"""Aggregation and rendering of per-run perf telemetry.
+"""Aggregation and rendering of a command's run reports.
 
-Every estimator attaches a perf dict (profiling spans plus
+Every estimator attaches a :class:`~repro.health.events.HealthReport`
+to ``FailureEstimate.health`` and a perf dict (profiling spans plus
 device-model-evaluation and cache counters, all measured as deltas over
 the run) to ``FailureEstimate.metadata["perf"]``.  The CLI's
-``--perf-report`` walks whatever result object a subcommand produced,
-merges every perf dict it finds and renders one text or JSON summary --
-the perf twin of ``--health-report``.
+``--report`` walks whatever result object a subcommand produced with
+:func:`collect_runs`, merges the health reports and the perf dicts
+(:func:`merge_perf`) and prints both, as text or as one JSON object.
 """
 
 from __future__ import annotations
@@ -19,36 +20,53 @@ _COUNTERS = ("device_model_evals", "cache_hits", "cache_misses",
              "cache_evictions", "screened", "refined")
 
 
-def collect_perf(result: object, _depth: int = 0) -> list[dict]:
-    """Recursively harvest perf dicts from a result container.
+def collect_runs(result: object) -> tuple[list, list[dict]]:
+    """Harvest the health reports and perf dicts of every run in
+    ``result``.
 
-    Mirrors :func:`repro.health.events.collect_reports`: walks
-    dataclass-like result objects, lists and dicts, and collects the
-    ``metadata["perf"]`` entry of every estimate encountered.
+    Walks dataclass-like result objects (``fig6``/``fig7``/... results,
+    lists of estimates, vmin probe tuples), lists, tuples and dict
+    values down to depth 6, and collects the ``health`` report and the
+    ``metadata["perf"]`` dict of every estimate encountered; a bare
+    :class:`~repro.health.events.HealthReport` counts as one report.
+    Returns ``(health_reports, perf_dicts)`` in walk order.
     """
-    if _depth > 6 or result is None:
-        return []
+    # deferred: repro.health imports repro.core, which imports repro.perf
+    from repro.health.events import HealthReport
+
+    reports: list[HealthReport] = []
     perfs: list[dict] = []
-    metadata = getattr(result, "metadata", None)
-    own = None
-    if isinstance(metadata, dict) and isinstance(
-            metadata.get("perf"), dict):
-        own = metadata["perf"]
-        perfs.append(own)
-    if isinstance(result, dict):
-        children = list(result.values())
-    elif isinstance(result, (list, tuple)):
-        children = list(result)
-    elif hasattr(result, "__dataclass_fields__"):
-        children = [getattr(result, name)
-                    for name in result.__dataclass_fields__]
-    else:
-        children = []
-    for child in children:
-        if isinstance(child, (str, bytes, int, float, bool)):
-            continue
-        perfs.extend(collect_perf(child, _depth + 1))
-    return perfs
+
+    def walk(node: object, depth: int) -> None:
+        if depth > 6 or node is None:
+            return
+        if isinstance(node, HealthReport):
+            reports.append(node)
+            return
+        health = getattr(node, "health", None)
+        if isinstance(health, HealthReport):
+            reports.append(health)
+        metadata = getattr(node, "metadata", None)
+        if isinstance(metadata, dict) and isinstance(
+                metadata.get("perf"), dict):
+            perfs.append(metadata["perf"])
+        if isinstance(node, dict):
+            children = list(node.values())
+        elif isinstance(node, (list, tuple)):
+            children = list(node)
+        elif hasattr(node, "__dataclass_fields__"):
+            children = [getattr(node, name)
+                        for name in node.__dataclass_fields__]
+        else:
+            children = []
+        for child in children:
+            # the attached report is already collected
+            if child is not health and not isinstance(
+                    child, (str, bytes, int, float, bool)):
+                walk(child, depth + 1)
+
+    walk(result, 0)
+    return reports, perfs
 
 
 def merge_perf(perfs: list[dict]) -> dict:

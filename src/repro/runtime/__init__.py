@@ -25,9 +25,10 @@ from repro.runtime.signals import (
     shutdown_requested,
 )
 from repro.runtime.tasks import (
-    evaluate_indicator,
+    absorb_perf_stats,
     evaluate_indicator_stats,
     indicator_perf_stats,
+    perf_metadata,
     perf_stats_delta,
 )
 
@@ -40,12 +41,13 @@ __all__ = [
     "ProcessBackend",
     "RunMetrics",
     "ThreadBackend",
+    "absorb_perf_stats",
     "chunk_sizes",
     "default_coordinator",
-    "evaluate_indicator",
     "evaluate_indicator_stats",
     "indicator_perf_stats",
     "make_backend",
+    "perf_metadata",
     "perf_stats_delta",
     "plan_chunks",
     "shutdown_requested",

@@ -55,10 +55,6 @@ class RunMetrics:
     n_items: int = 0
     n_simulations: int = 0
     records: list[ChunkRecord] = field(default_factory=list)
-    #: per-stage profiling spans (``{name: {"total_s", "count"}}``),
-    #: folded in by the estimators from their StageProfiler.  Spans may
-    #: nest, so totals overlap rather than partition wall_time_s.
-    spans: dict[str, dict] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     @property
@@ -106,9 +102,6 @@ class RunMetrics:
             # it from every naive-MC run's metadata["execution"]
             "shm_bytes": 0,
         }
-        if self.spans:
-            out["spans"] = {name: dict(stat)
-                            for name, stat in self.spans.items()}
         if include_chunks:
             out["chunks"] = [vars(r).copy() for r in self.records]
         return out
@@ -131,12 +124,6 @@ class RunMetrics:
             f"  retries      {self.n_retries}",
             f"  fallbacks    {self.n_fallbacks}",
         ]
-        if self.spans:
-            lines.append("  spans:")
-            for name, stat in self.spans.items():
-                lines.append(
-                    f"    {name:20s} {stat['total_s']:9.3f} s "
-                    f"({stat['count']} call(s))")
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
@@ -159,9 +146,4 @@ class RunMetrics:
             merged.wall_time_s += run.wall_time_s
             merged.n_items += run.n_items
             merged.n_simulations += run.n_simulations
-            for name, stat in run.spans.items():
-                span = merged.spans.setdefault(
-                    name, {"total_s": 0.0, "count": 0})
-                span["total_s"] += float(stat.get("total_s", 0.0))
-                span["count"] += int(stat.get("count", 0))
         return merged

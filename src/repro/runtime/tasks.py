@@ -1,25 +1,16 @@
-"""Module-level task bodies shared by the estimator hot paths.
+"""Module-level task bodies and the perf accounting around them.
 
-These must live at module scope (not as closures or lambdas) so the
-process backend can pickle them by qualified name.  Workload-specific
+Task bodies must live at module scope (not as closures or lambdas) so
+the process backend can pickle them by qualified name.  Workload-specific
 tasks live next to their callers (e.g. the naive-MC chunk task in
-:mod:`repro.core.naive`); only the generic ones are collected here.
+:mod:`repro.core.naive`); only the generic ones are collected here, with
+the one implementation of the evaluator-counter accounting every
+estimator shares.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def evaluate_indicator(chunk: np.ndarray, indicator) -> np.ndarray:
-    """Label one chunk with a (raw, non-counting) indicator.
-
-    Simulation accounting stays in the parent process: callers add the
-    chunk sizes to their :class:`~repro.core.indicator.SimulationCounter`
-    *before* dispatch, preserving the budget circuit-breaker semantics of
-    :class:`~repro.core.indicator.CountingIndicator`.
-    """
-    return np.asarray(indicator.evaluate(chunk), dtype=bool)
 
 
 def indicator_perf_stats(indicator) -> dict:
@@ -37,29 +28,55 @@ def perf_stats_delta(before: dict, after: dict) -> dict:
     """Additive-counter delta between two perf snapshots.
 
     ``cache_entries`` is a gauge (current cache size), not a counter,
-    so it is dropped rather than differenced; non-integer entries
-    (spans, rates) are dropped for the same reason.
+    so it is dropped rather than differenced.
     """
     return {key: int(value) - int(before.get(key, 0))
-            for key, value in after.items()
-            if key != "cache_entries"
-            and isinstance(value, (int, np.integer))
-            and not isinstance(value, bool)}
+            for key, value in after.items() if key != "cache_entries"}
+
+
+def perf_metadata(indicator, baseline: dict, spans: dict) -> dict:
+    """One run's ``metadata["perf"]``: its spans plus the counter delta
+    over ``baseline`` (the gauge as it stands now).
+
+    Counters live on the (possibly sweep-shared) evaluator and are
+    process-local telemetry: a run resumed in a fresh process reports
+    only the work done since the restore.
+    """
+    after = indicator_perf_stats(indicator)
+    delta = perf_stats_delta(baseline, after)
+    return {"spans": spans,
+            **{key: delta.get(key, value) for key, value in after.items()}}
+
+
+def absorb_perf_stats(indicator, stats: dict, where: str) -> None:
+    """Merge one executed chunk's counter delta into the parent.
+
+    Only process-pool chunks carry counts the parent's evaluator never
+    saw (the worker labelled on its own unpickled copy); serial, thread
+    and fallback chunks ran on the parent's evaluator object, so merging
+    them would double count.
+    """
+    if where != "process" or not stats:
+        return
+    absorb = getattr(getattr(indicator, "evaluator", None),
+                     "absorb_stats", None)
+    if callable(absorb):
+        absorb(stats)
 
 
 def evaluate_indicator_stats(chunk: np.ndarray, indicator
                              ) -> tuple[np.ndarray, dict]:
-    """:func:`evaluate_indicator` plus the evaluator-counter delta.
+    """Label one chunk with a (raw, non-counting) indicator; returns the
+    labels and the evaluator-counter delta.
 
-    On the process backend the worker labels the chunk on its *own*
-    unpickled copy of the evaluator, so the parent's perf counters
-    (device-model evals, cache hits, screen/refine splits) never see
-    that work.  Measuring the delta inside the task -- against whatever
-    counter values the copy started with -- captures exactly this
-    chunk's contribution; the parent merges it back for process-pool
-    chunks only (serial / thread / fallback chunks already ran on the
-    parent's evaluator object and would double count).
+    Simulation accounting stays in the parent process: callers add the
+    chunk sizes to their :class:`~repro.core.indicator.SimulationCounter`
+    *before* dispatch, preserving the budget circuit-breaker semantics of
+    :class:`~repro.core.indicator.CountingIndicator`.  The delta is
+    measured inside the task, against whatever counter values the
+    evaluator copy started with, so it is exactly this chunk's
+    contribution; the parent merges it with :func:`absorb_perf_stats`.
     """
     before = indicator_perf_stats(indicator)
-    labels = evaluate_indicator(chunk, indicator)
+    labels = np.asarray(indicator.evaluate(chunk), dtype=bool)
     return labels, perf_stats_delta(before, indicator_perf_stats(indicator))

@@ -11,7 +11,6 @@ import pytest
 from repro.core.ecripse import EcripseConfig, EcripseEstimator
 from repro.core.naive import NaiveMonteCarlo
 from repro.experiments.setup import paper_setup
-from repro.perf import PerfConfig
 from repro.runtime import ExecutionConfig
 
 pytestmark = pytest.mark.slow
@@ -23,10 +22,8 @@ def _execution(backend, **kw):
 
 
 def _fresh_setup():
-    # a fresh setup per run: a shared solve cache would let the second
-    # run skip solves and trivially break the eval-count comparison
-    return paper_setup(grid_points=21,
-                       perf=PerfConfig(cache_entries=0))
+    # a fresh setup per run, so each run's counters start at zero
+    return paper_setup(grid_points=21)
 
 
 def _ecripse_run(execution):

@@ -20,7 +20,7 @@ class TestFlags:
             runner.main([command, "--help"])
         help_text = capsys.readouterr().out
         assert "--health-policy" in help_text
-        assert "--health-report" in help_text
+        assert "--report" in help_text
         # the fault injector is a chaos-testing hook, not a user knob
         assert "--inject-fault" not in help_text
 
@@ -42,9 +42,9 @@ class TestReportRendering:
     def test_json_report_with_injected_fault(self, capsys):
         assert runner.main(QUICK + ["--health-policy", "recover",
                                     "--inject-fault", "solver",
-                                    "--health-report", "json"]) == 0
+                                    "--report", "json"]) == 0
         out = capsys.readouterr().out
-        payload = json.loads(out[out.index("{"):])
+        payload = json.loads(out[out.index("{"):])["health"]
         assert payload["policy"] == "recover"
         assert payload["events"], "expected recovery events in the report"
         assert payload["events"][0]["category"] == "solver"
@@ -52,7 +52,7 @@ class TestReportRendering:
 
     def test_text_report_on_healthy_run(self, capsys):
         assert runner.main(QUICK + ["--health-policy", "recover",
-                                    "--health-report", "text"]) == 0
+                                    "--report", "text"]) == 0
         out = capsys.readouterr().out
         assert "policy: recover" in out
         assert "no degradation detected" in out

@@ -5,7 +5,13 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from repro.health import HealthEvent, HealthReport, collect_reports
+from repro.health import HealthEvent, HealthReport
+from repro.perf import collect_runs
+
+
+def health_reports(result):
+    """The health half of the merged result walker."""
+    return collect_runs(result)[0]
 
 
 def event(stage="stage1", category="solver", severity="warning",
@@ -96,17 +102,17 @@ class TestCollectReports:
         sweep = _FakeSweep(
             estimates=[_FakeEstimate(health=r1), _FakeEstimate()],
             extras={"probe": (0.7, _FakeEstimate(health=r2))})
-        found = collect_reports([sweep, _FakeEstimate(health=r3)])
+        found = health_reports([sweep, _FakeEstimate(health=r3)])
         assert found == [r1, r2, r3]
 
     def test_no_double_count_of_attached_report(self):
         estimate = _FakeEstimate(health=HealthReport(events=[event()]))
-        assert len(collect_reports(estimate)) == 1
+        assert len(health_reports(estimate)) == 1
 
     def test_none_and_scalars_yield_nothing(self):
-        assert collect_reports(None) == []
-        assert collect_reports([1, "x", 2.5, True]) == []
+        assert health_reports(None) == []
+        assert health_reports([1, "x", 2.5, True]) == []
 
     def test_bare_report_collected(self):
         report = HealthReport()
-        assert collect_reports(report) == [report]
+        assert health_reports(report) == [report]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.experiments.setup import paper_setup
 from repro.perf import PerfConfig, build_evaluator
 from repro.perf.adaptive import AdaptiveMarginEvaluator, margin_guard_band
 from repro.perf.cache import SolveCache
@@ -148,11 +149,12 @@ class TestFingerprints:
 
 
 class TestBuildEvaluator:
-    def test_default_is_adaptive_with_cache(self, paper_cell, paper_space):
-        ev = build_evaluator(paper_cell, paper_space)
-        assert isinstance(ev, AdaptiveMarginEvaluator)
-        assert ev.cache is not None
-        assert ev.cache.fingerprint == ev.solve_fingerprint()
+    def test_default_is_adaptive_without_cache(self):
+        # the solve cache is opt-in: only PerfConfig.cache_path
+        # (--solve-cache) attaches one
+        evaluator = paper_setup().evaluator
+        assert isinstance(evaluator, AdaptiveMarginEvaluator)
+        assert evaluator.cache is None
 
     def test_exact_config_restores_legacy_construction(self, paper_cell,
                                                        paper_space):
@@ -171,6 +173,7 @@ class TestBuildEvaluator:
         assert any(p.parent == tmp_path
                    for p in perf_pkg.save_registered_caches())
 
+        assert ev.cache.fingerprint == ev.solve_fingerprint()
         # same-process builds share the registered instance ...
         shared = build_evaluator(paper_cell, paper_space, perf=perf)
         assert shared.cache is ev.cache
@@ -185,6 +188,3 @@ class TestBuildEvaluator:
             PerfConfig(coarse_iterations=4)
         with pytest.raises(ValueError):
             PerfConfig(guard_safety=0.5)
-        with pytest.raises(ValueError):
-            PerfConfig(cache_entries=-1)
-        assert not PerfConfig.exact().caching

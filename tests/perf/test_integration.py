@@ -1,9 +1,9 @@
 """End-to-end result-neutrality of the hot-path acceleration.
 
 The contract under test: for a fixed seed, an accelerated run (adaptive
-labelling + solve cache) produces the bit-identical ``pfail``,
-``n_simulations`` and trace the exact run produces -- on every backend,
-and across a kill/resume cycle with the cache riding the checkpoint.
+labelling, with or without the opt-in solve cache) produces the
+bit-identical ``pfail``, ``n_simulations`` and trace the exact run
+produces -- on every backend, and across a kill/resume cycle.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from repro.core.ecripse import EcripseConfig, EcripseEstimator
 from repro.core.naive import NaiveMonteCarlo
 from repro.errors import CheckpointCrash
 from repro.experiments.setup import paper_setup
-from repro.perf import PerfConfig
+from repro.perf import PerfConfig, SolveCache, save_registered_caches
 from repro.runtime import ExecutionConfig
 
 TINY = EcripseConfig(n_particles=40, n_iterations=3, k_train=64,
@@ -51,8 +51,8 @@ class TestEcripseBitIdentity:
     def exact(self):
         return run_once(PerfConfig.exact())[0]
 
-    def test_adaptive_plus_cache_matches_exact(self, exact):
-        fast, estimator = run_once(PerfConfig())
+    def test_adaptive_plus_cache_matches_exact(self, exact, tmp_path):
+        fast, estimator = run_once(PerfConfig(cache_path=str(tmp_path)))
         assert_same_result(exact, fast)
         perf = fast.metadata["perf"]
         assert perf["device_model_evals"] > 0
@@ -68,17 +68,20 @@ class TestEcripseBitIdentity:
                  / fast.metadata["perf"]["device_model_evals"])
         assert ratio > 1.5
 
-    def test_cache_only_matches_exact(self, exact):
-        cached, _ = run_once(PerfConfig(adaptive=False))
+    def test_cache_only_matches_exact(self, exact, tmp_path):
+        cached, _ = run_once(PerfConfig(adaptive=False,
+                                        cache_path=str(tmp_path)))
         assert_same_result(exact, cached)
         perf = cached.metadata["perf"]
         assert perf["cache_misses"] > 0
         assert perf["cache_entries"] > 0
 
-    def test_repeat_run_on_shared_setup_hits_cache(self):
-        """A campaign-style repeat on a shared evaluator re-labels the
-        same samples: the second run must be all hits and bit-identical."""
-        setup = paper_setup(alpha=0.3, perf=PerfConfig())
+    def test_repeat_run_on_shared_setup_hits_cache(self, tmp_path):
+        """A same-seed repeat through one solve-cache directory
+        re-labels the same samples: the second run must be all hits and
+        bit-identical."""
+        setup = paper_setup(alpha=0.3,
+                            perf=PerfConfig(cache_path=str(tmp_path)))
 
         def repeat():
             estimator = EcripseEstimator(setup.space, setup.indicator,
@@ -107,29 +110,32 @@ class TestEcripseBitIdentity:
         spans = estimate.metadata["perf"]["spans"]
         assert "boundary-search" in spans
         assert "stage2-label" in spans
-        # spans fold into the execution metrics too
-        assert "stage2-label" in estimate.metadata["execution"]["spans"]
 
 
 class TestCheckpointCacheRide:
     def test_cache_state_resumes_from_snapshot(self, tmp_path):
+        """The cache's one home is its --solve-cache directory: a killed
+        run's cache is saved there, not in the snapshot, and the
+        resumed run still finishes bit-identically."""
         baseline, _ = run_once(PerfConfig())
 
-        crashing = CheckpointConfig(directory=tmp_path,
+        perf = PerfConfig(cache_path=str(tmp_path / "cache"))
+        crashing = CheckpointConfig(directory=tmp_path / "ckpt",
                                     every_simulations=400, crash_after=2)
         with pytest.raises(CheckpointCrash):
-            run_once(PerfConfig(), checkpoint=crashing, crash_budget=[2])
+            run_once(perf, checkpoint=crashing, crash_budget=[2])
+        save_registered_caches()
 
-        # a fresh process restores the snapshot: the cache must come
-        # back warm before a single new solve happens
-        setup = paper_setup(alpha=0.3, perf=PerfConfig())
+        setup = paper_setup(alpha=0.3, perf=perf)
         estimator = EcripseEstimator(setup.space, setup.indicator,
                                      setup.rtn_model, config=TINY, seed=99)
-        resuming = CheckpointConfig(directory=tmp_path,
+        resuming = CheckpointConfig(directory=tmp_path / "ckpt",
                                     every_simulations=400, resume=True)
         manager = resuming.manager("run")
         manager.restore_into(estimator)
-        assert len(setup.evaluator.cache) > 0
+        saved = SolveCache.load(perf.cache_path,
+                                setup.evaluator.solve_fingerprint())
+        assert len(saved) > 0
 
         resumed = estimator.run(checkpoint=manager,
                                 target_relative_error=0.5)
@@ -139,7 +145,16 @@ class TestCheckpointCacheRide:
         checkpoint = CheckpointConfig(directory=tmp_path,
                                       every_simulations=400)
         _, estimator = run_once(PerfConfig.exact(), checkpoint=checkpoint)
-        assert estimator.state_snapshot()["solve_cache"] is None
+        assert "solve_cache" not in estimator.state_snapshot()
+
+    def test_default_snapshots_have_no_solve_cache(self):
+        setup = paper_setup(alpha=0.3)
+        estimator = EcripseEstimator(setup.space, setup.indicator,
+                                     setup.rtn_model, config=TINY, seed=99)
+        mc = NaiveMonteCarlo(setup.space, setup.indicator, setup.rtn_model,
+                             seed=5)
+        for snapshot in (estimator.state_snapshot(), mc.state_snapshot()):
+            assert "solve_cache" not in snapshot
 
 
 class TestNaiveMonteCarlo:
@@ -156,30 +171,13 @@ class TestNaiveMonteCarlo:
         assert perf_meta["device_model_evals"] > 0
         assert perf_meta["screened"] > 0
 
-    def test_snapshot_carries_cache(self):
-        setup = paper_setup(alpha=0.3, perf=PerfConfig())
-        mc = NaiveMonteCarlo(setup.space, setup.indicator, setup.rtn_model,
-                             batch_size=2000, seed=5)
-        mc.run(4000)
-        state = mc.state_snapshot()
-        assert state["solve_cache"] is not None
-        assert state["solve_cache"]["keys"].shape[0] > 0
-
-        fresh_setup = paper_setup(alpha=0.3, perf=PerfConfig())
-        fresh = NaiveMonteCarlo(fresh_setup.space, fresh_setup.indicator,
-                                fresh_setup.rtn_model, batch_size=2000,
-                                seed=5)
-        fresh.restore_state(state)
-        cache = fresh_setup.evaluator.cache
-        assert len(cache) == state["solve_cache"]["keys"].shape[0]
-
 
 class TestCliFlags:
     def test_perf_report_text(self, capsys):
         from repro.experiments.runner import main
 
         code = main(["estimate", "--quick", "--target", "0.5",
-                     "--seed", "7", "--perf-report", "text"])
+                     "--seed", "7", "--report", "text"])
         out = capsys.readouterr().out
         assert code == 0
         assert "perf report" in out
@@ -191,15 +189,30 @@ class TestCliFlags:
         from repro.experiments.runner import main
 
         code = main(["estimate", "--quick", "--target", "0.5",
-                     "--seed", "7", "--exact-eval",
-                     "--perf-report", "json"])
+                     "--seed", "7", "--exact-eval", "--report", "json"])
         out = capsys.readouterr().out
         assert code == 0
-        payload = json.loads(out[out.index("{"):])
+        payload = json.loads(out[out.index("{"):])["perf"]
         # exact path: no screening, no cache
         assert payload["screened"] == 0
         assert payload["cache_hits"] == 0
         assert payload["device_model_evals"] > 0
+
+    def test_report_json_carries_health_and_perf(self, capsys):
+        import json
+
+        from repro.experiments.runner import main
+
+        code = main(["estimate", "--quick", "--target", "0.5",
+                     "--seed", "7", "--report", "json"])
+        out = capsys.readouterr().out
+        assert code == 0
+        payload = json.loads(out[out.index("{"):])
+        assert set(payload) == {"health", "perf"}
+        assert payload["health"]["policy"] == "strict"
+        assert payload["health"]["events"] == []
+        assert payload["perf"]["runs"] == 1
+        assert payload["perf"]["device_model_evals"] > 0
 
     def test_exact_eval_matches_default_output(self, capsys):
         import re

@@ -5,7 +5,8 @@ from __future__ import annotations
 import json
 
 from repro.perf.profile import StageProfiler, merge_spans
-from repro.perf.report import (collect_perf, merge_perf, render_json,
+from repro.health import HealthReport
+from repro.perf.report import (collect_runs, merge_perf, render_json,
                                render_text)
 
 
@@ -68,13 +69,21 @@ class TestCollectAndMerge:
 
     def test_collect_walks_nested_containers(self):
         a, b = FakeEstimate(self.perf_dict()), FakeEstimate(self.perf_dict())
-        found = collect_perf({"first": a, "rest": [b, None, 7]})
+        _, found = collect_runs({"first": a, "rest": [b, None, 7]})
         assert len(found) == 2
 
     def test_collect_handles_plain_objects(self):
-        assert collect_perf(None) == []
-        assert collect_perf("text") == []
-        assert collect_perf(FakeEstimate(self.perf_dict())) != []
+        assert collect_runs(None) == ([], [])
+        assert collect_runs("text") == ([], [])
+        assert collect_runs(FakeEstimate(self.perf_dict()))[1] != []
+
+    def test_collect_gathers_health_and_perf_in_one_walk(self):
+        with_health = FakeEstimate(self.perf_dict(evals=1))
+        with_health.health = HealthReport(policy="recover")
+        reports, perfs = collect_runs(
+            [with_health, {"b": FakeEstimate(self.perf_dict(evals=2))}])
+        assert reports == [with_health.health]
+        assert [perf["device_model_evals"] for perf in perfs] == [1, 2]
 
     def test_merge_sums_counters_and_recomputes_rates(self):
         merged = merge_perf([self.perf_dict(evals=100, hits=8, misses=2),
@@ -97,22 +106,3 @@ class TestCollectAndMerge:
         parsed = json.loads(render_json(merged))
         assert parsed["device_model_evals"] == 100
 
-
-class TestRunMetricsSpans:
-    def test_spans_render_and_merge(self):
-        from repro.runtime.metrics import RunMetrics
-
-        a = RunMetrics(label="a", backend="serial", workers=1,
-                       spans={"x": {"total_s": 1.0, "count": 1}})
-        b = RunMetrics(label="b", backend="serial", workers=1,
-                       spans={"x": {"total_s": 2.0, "count": 2}})
-        merged = RunMetrics.merge([a, b])
-        assert merged.spans["x"] == {"total_s": 3.0, "count": 3}
-        assert "spans" in merged.as_dict()
-        assert "x" in merged.report()
-
-    def test_empty_spans_stay_out_of_as_dict(self):
-        from repro.runtime.metrics import RunMetrics
-
-        metrics = RunMetrics(label="a", backend="serial", workers=1)
-        assert "spans" not in metrics.as_dict()
