@@ -164,7 +164,7 @@ def bench_backends(scale) -> dict:
     for backend in ("serial", "thread", "process"):
         setup = paper_setup(alpha=0.3, perf=PerfConfig())
         config = scale["config"].with_(execution=ExecutionConfig(
-            backend=backend, workers=2, chunk_size=500))
+            backend=backend, workers=2))
         estimator = EcripseEstimator(setup.space, setup.indicator,
                                      setup.rtn_model, config=config,
                                      seed=SEED)

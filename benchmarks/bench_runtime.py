@@ -2,9 +2,10 @@
 
 Compares the ``serial``, ``thread`` and ``process`` backends on the two
 workloads the runtime serves -- a naive-MC sample block and one full
-ECRIPSE estimate -- on the paper's 0.5 V cell (the pure-Python SPICE
-solver is the unit of work, so the process backend is the one that can
-actually scale: threads serialise on the GIL).
+ECRIPSE estimate -- on the paper's 0.5 V cell.  The butterfly solve is
+the unit of work; it runs in NumPy kernels that release the GIL, so
+both pooled backends can scale it (docs/TUNING.md has the measured
+trade-off).
 
 Estimates must be bit-identical across backends (the runtime's core
 contract); the >=2x process-backend speedup is asserted only when the
@@ -46,9 +47,8 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _execution(backend: str, chunk: int) -> ExecutionConfig:
-    return ExecutionConfig(backend=backend, workers=WORKERS,
-                           chunk_size=chunk)
+def _execution(backend: str) -> ExecutionConfig:
+    return ExecutionConfig(backend=backend, workers=WORKERS)
 
 
 def _save(section: str, payload: dict) -> None:
@@ -72,14 +72,14 @@ def _report(section: str, rows: dict[str, dict]) -> None:
 
 def test_naive_mc_backends():
     n_samples = 100_000 if FULL else 4000
-    chunk = 500
 
     rows: dict[str, dict] = {}
     for backend in BACKENDS:
         # fresh setup per backend, so each row's counters start at zero
         setup = paper_setup(vdd=0.5, alpha=0.3)
         mc = NaiveMonteCarlo(setup.space, setup.indicator, setup.rtn_model,
-                             seed=0, execution=_execution(backend, chunk))
+                             batch_size=500, seed=0,
+                             execution=_execution(backend))
         t0 = time.perf_counter()
         result = mc.run(n_samples)
         rows[backend] = {
@@ -114,7 +114,7 @@ def test_ecripse_backends(bench_scale):
         setup = paper_setup(vdd=0.5, alpha=0.3)
         estimator = EcripseEstimator(
             setup.space, setup.indicator, setup.rtn_model, seed=0,
-            config=config.with_(execution=_execution(backend, 250)))
+            config=config.with_(execution=_execution(backend)))
         t0 = time.perf_counter()
         result = estimator.run(
             target_relative_error=bench_scale["loose_rel_err"])

@@ -131,8 +131,8 @@ class EcripseConfig:
     --------------------
     execution:
         :class:`~repro.runtime.config.ExecutionConfig` selecting the
-        backend / worker count / chunking of the transistor-level
-        simulation batches and the particle-filter prediction tasks.
+        backend and worker count of the transistor-level simulation
+        batches.
         The default (serial) reproduces the single-core behaviour; for a
         fixed seed every backend returns the bit-identical estimate.
 
@@ -382,7 +382,7 @@ class EcripseEstimator:
         m = 1 if self.rtn_model.is_null else cfg.m_rtn
         while self._stage1_iter < cfg.n_iterations:
             with self.profiler.span("stage1-predict"):
-                candidates = self.filter_bank.predict_all(self.executor)
+                candidates = self.filter_bank.predict_all()
             total = self._total_shift_samples(candidates, m,
                                               self._rng_stage1)
             with self.profiler.span("stage1-label"):

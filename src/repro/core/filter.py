@@ -25,22 +25,6 @@ from repro.core.particles import (
 from repro.rng import rng_from_state, rng_state, spawn
 
 
-def predict_candidates(positions: np.ndarray, kernel_sigma: float,
-                       rng: np.random.Generator
-                       ) -> tuple[np.ndarray, np.random.Generator]:
-    """Draw one filter's candidate generation (paper eq. 15).
-
-    Module-level (and returning the generator) so it can run as a
-    runtime task on any backend: the process backend ships a pickled
-    generator out and its advanced state back, while the thread/serial
-    backends advance the caller's generator in place.
-    """
-    n = positions.shape[0]
-    parents = rng.integers(0, n, size=n)
-    noise = rng.standard_normal(positions.shape)
-    return positions[parents] + kernel_sigma * noise, rng
-
-
 @dataclass
 class FilterDiagnostics:
     """Per-iteration health metrics of one filter."""
@@ -84,9 +68,10 @@ class ParticleFilter:
     # ------------------------------------------------------------------
     def predict(self) -> np.ndarray:
         """Draw candidate particles from the mixture proposal (eq. 15)."""
-        candidates, self.rng = predict_candidates(
-            self.positions, self.kernel_sigma, self.rng)
-        return candidates
+        n = self.positions.shape[0]
+        parents = self.rng.integers(0, n, size=n)
+        noise = self.rng.standard_normal(self.positions.shape)
+        return self.positions[parents] + self.kernel_sigma * noise
 
     def resample(self, candidates: np.ndarray, weights: np.ndarray) -> None:
         """Resample the next generation from ``candidates`` by ``weights``.
@@ -181,28 +166,9 @@ class ParticleFilterBank:
         self.n_particles = n_particles
 
     # ------------------------------------------------------------------
-    def predict_all(self, executor=None) -> np.ndarray:
-        """Candidates from every filter, stacked to (F * N, D).
-
-        With an :class:`~repro.runtime.executor.Executor`, prediction
-        runs as one task per filter.  Each filter consumes only its own
-        generator, so the stack is bit-identical to the serial path on
-        every backend (the process backend returns each generator's
-        advanced state, which is written back here).
-        """
-        if executor is None:
-            return np.vstack([f.predict() for f in self.filters])
-        tasks = [(f.positions, f.kernel_sigma, f.rng)
-                 for f in self.filters]
-        results = executor.map_tasks(predict_candidates, tasks,
-                                     sizes=[f.n_particles
-                                            for f in self.filters],
-                                     label="filter-predict")
-        stacked = []
-        for flt, (candidates, rng) in zip(self.filters, results):
-            flt.rng = rng
-            stacked.append(candidates)
-        return np.vstack(stacked)
+    def predict_all(self) -> np.ndarray:
+        """Candidates from every filter, stacked to (F * N, D)."""
+        return np.vstack([f.predict() for f in self.filters])
 
     def resample_all(self, candidates: np.ndarray,
                      weights: np.ndarray) -> None:

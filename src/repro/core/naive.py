@@ -77,11 +77,12 @@ class NaiveMonteCarlo:
     rtn_model:
         RTN sampler (or the null model).
     batch_size:
-        Samples per chunk unless ``execution.chunk_size`` sets one.
+        Samples per chunk; each chunk draws from its own child RNG, so
+        the chunking is part of the run's statistical definition (and
+        of its fingerprint).
     execution:
         :class:`~repro.runtime.config.ExecutionConfig` the chunks run
-        through (default: serial, one task per chunk, one child RNG per
-        chunk).
+        through (default: serial, one task per chunk).
     """
 
     #: per-run perf-counter baseline, recaptured at the top of every
@@ -109,7 +110,6 @@ class NaiveMonteCarlo:
         self._drawn = 0
         self._cursor = 0
         self._stopped = False
-        self._chunk: int | None = None
         self._entry_rng: dict | None = None
         self._trace: list[TracePoint] = []
         self._perf_baseline: dict = {}
@@ -145,16 +145,9 @@ class NaiveMonteCarlo:
         raw = self.indicator.indicator
         self._perf_baseline = indicator_perf_stats(raw)
         start = time.perf_counter()
-        chunk = (self.execution.chunk_size if self.execution.chunk_size
-                 is not None else self.batch_size)
-        if self._chunk is None:
-            self._chunk = int(chunk)
+        if self._entry_rng is None:
             self._entry_rng = rng_state(self.rng)
-        elif self._chunk != chunk:
-            raise CheckpointError(
-                f"snapshot was chunked at {self._chunk} samples, cannot "
-                f"resume with chunk size {chunk}")
-        sizes = chunk_sizes(n_samples, self._chunk)
+        sizes = chunk_sizes(n_samples, self.batch_size)
         rngs = spawn(rng_from_state(self._entry_rng), len(sizes))
         tasks = [(n, rng, self.space, raw, self.rtn_model)
                  for n, rng in zip(sizes, rngs)]
@@ -163,8 +156,7 @@ class NaiveMonteCarlo:
             if not self._stopped and self._cursor < len(sizes):
                 results = self.executor.iter_tasks(
                     sample_and_label_chunk_stats, tasks[self._cursor:],
-                    sizes=sizes[self._cursor:], label="naive-mc",
-                    with_records=True)
+                    sizes=sizes[self._cursor:], label="naive-mc")
                 try:
                     for ((n_fail, n), stats), record in results:
                         absorb_perf_stats(raw, stats, record.where)
@@ -221,7 +213,8 @@ class NaiveMonteCarlo:
             "drawn": self._drawn,
             "cursor": self._cursor,
             "stopped": self._stopped,
-            "chunk": self._chunk,
+            "chunk": (None if self._entry_rng is None
+                      else self.batch_size),
             "counter": self.counter.state(),
             "rng": rng_state(self.rng),
             "entry_rng": self._entry_rng,
@@ -234,7 +227,8 @@ class NaiveMonteCarlo:
         Older snapshots carry a ``mode`` and a ``solve_cache`` entry;
         both are ignored, except that a snapshot of the removed
         single-stream loop is refused: its fingerprint matches, but its
-        random stream is not the chunked one.
+        random stream is not the chunked one.  So is a snapshot chunked
+        at a size other than ``batch_size``.
         """
         try:
             if "mode" in state and state["mode"] == "legacy":
@@ -248,7 +242,13 @@ class NaiveMonteCarlo:
             self._cursor = int(state["cursor"])
             self._stopped = bool(state["stopped"])
             chunk = state["chunk"]
-            self._chunk = None if chunk is None else int(chunk)
+            if chunk is not None and int(chunk) != self.batch_size:
+                # older runs could chunk at an execution-level size other
+                # than batch_size; their streams differ under one
+                # fingerprint
+                raise CheckpointError(
+                    f"snapshot was chunked at {int(chunk)} samples, "
+                    f"cannot resume with chunk size {self.batch_size}")
             self.counter.restore_state(state["counter"])
             self.rng = rng_from_state(state["rng"])
             self._entry_rng = state["entry_rng"]

@@ -15,7 +15,6 @@ is bit-identical across execution backends.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 #: event severities, mildest first.
@@ -166,10 +165,6 @@ class HealthReport:
         return merged
 
     # -- rendering -----------------------------------------------------
-    def render_json(self) -> str:
-        """The report as one indented JSON document."""
-        return json.dumps(self.as_dict(), indent=2)
-
     def render_text(self) -> str:
         """Human-readable multi-line rendering."""
         counts = self.counts()

@@ -219,18 +219,13 @@ FINGERPRINT_CONTRACTS: tuple[FingerprintContract, ...] = (
     # invariance is the PR 1 guarantee); every field is excluded.
     FingerprintContract(
         cls="repro.runtime.config.ExecutionConfig",
-        excluded=frozenset({
-            "backend", "workers", "chunk_size", "max_retries",
-            "retry_backoff_s", "fallback_serial",
-        })),
+        excluded=frozenset({"backend", "workers"})),
     # The perf policy is result-neutral by the PR 5 bit-identity
     # contract; a field someone believes belongs in `identity` here is
     # a design alarm, not a lint tweak.
     FingerprintContract(
         cls="repro.perf.config.PerfConfig",
-        excluded=frozenset({
-            "adaptive", "coarse_iterations", "guard_safety", "cache_path",
-        })),
+        excluded=frozenset({"adaptive", "cache_path"})),
 )
 
 

@@ -49,7 +49,7 @@ _IMPURE_CALLS = frozenset({
 })
 
 #: executor methods whose task callable must survive pickling.
-_EXECUTOR_METHODS = frozenset({"map_chunks", "map_tasks", "iter_tasks"})
+_EXECUTOR_METHODS = frozenset({"map_chunks", "iter_tasks"})
 
 RULES: list["Rule"] = []
 

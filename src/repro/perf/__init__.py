@@ -27,8 +27,7 @@ from repro.perf.adaptive import AdaptiveMarginEvaluator, margin_guard_band
 from repro.perf.cache import SolveCache
 from repro.perf.config import PerfConfig
 from repro.perf.profile import StageProfiler, merge_spans
-from repro.perf.report import (collect_runs, merge_perf, render_json,
-                               render_text)
+from repro.perf.report import collect_runs, merge_perf, render_text
 from repro.sram.cell import SramCell
 from repro.sram.evaluator import CellEvaluator
 from repro.variability.space import VariabilitySpace
@@ -44,7 +43,6 @@ __all__ = [
     "margin_guard_band",
     "merge_perf",
     "merge_spans",
-    "render_json",
     "render_text",
     "save_registered_caches",
 ]
@@ -69,9 +67,7 @@ def build_evaluator(cell: SramCell, space: VariabilitySpace,
         perf = PerfConfig()
     if perf.adaptive:
         evaluator = AdaptiveMarginEvaluator(
-            cell, space, vdd=vdd, grid_points=grid_points,
-            coarse_iterations=perf.coarse_iterations,
-            guard_safety=perf.guard_safety)
+            cell, space, vdd=vdd, grid_points=grid_points)
     else:
         evaluator = CellEvaluator(cell, space, vdd=vdd,
                                   grid_points=grid_points)

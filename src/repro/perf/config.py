@@ -12,7 +12,7 @@ like :class:`~repro.runtime.config.ExecutionConfig`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -25,17 +25,9 @@ class PerfConfig:
         Screen every batch on a reduced-bisection-depth solve and refine
         only samples whose coarse margin falls inside the guard band
         (default on; ``False`` restores the fixed-budget exact path).
-    coarse_iterations:
-        Bisection depth of the screening solve (the exact path uses the
-        solver default of 40).  Lower is cheaper but widens the guard
-        band, refining more samples; the floor of 8 is the solver's own.
-    guard_safety:
-        Multiplier on the analytic coarse-vs-exact margin error bound.
-        Must be >= 1 for the label-exactness guarantee; the default 2
-        doubles the (already conservative) bound to cover the
-        interpolation corner cases discussed in ``docs/PERFORMANCE.md``
-        -- empirically the bound itself has >3x headroom over the worst
-        observed coarse error.
+        The screening depth and the guard-band safety factor are the
+        keyword defaults of
+        :class:`~repro.perf.adaptive.AdaptiveMarginEvaluator`.
     cache_path:
         Optional directory for the :class:`~repro.perf.cache.SolveCache`
         (``--solve-cache``).  Without it the evaluator has no cache;
@@ -46,17 +38,7 @@ class PerfConfig:
     """
 
     adaptive: bool = True
-    coarse_iterations: int = 12
-    guard_safety: float = 2.0
     cache_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.coarse_iterations < 8:
-            raise ValueError("coarse_iterations must be >= 8")
-        if self.guard_safety < 1.0:
-            raise ValueError(
-                "guard_safety must be >= 1 (the guard band may only be "
-                "widened beyond the analytic bound, never narrowed)")
 
     @classmethod
     def exact(cls) -> "PerfConfig":
@@ -67,7 +49,3 @@ class PerfConfig:
         ``bench_hotpath``.
         """
         return cls(adaptive=False)
-
-    def with_(self, **changes) -> "PerfConfig":
-        """Return a copy with ``changes`` applied (dataclass replace)."""
-        return replace(self, **changes)

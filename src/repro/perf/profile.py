@@ -38,18 +38,9 @@ class StageProfiler:
             stat["total_s"] += time.perf_counter() - t0
             stat["count"] += 1
 
-    def add(self, name: str, seconds: float, count: int = 1) -> None:
-        """Fold an externally measured duration into ``name``."""
-        stat = self._spans.setdefault(name, {"total_s": 0.0, "count": 0})
-        stat["total_s"] += float(seconds)
-        stat["count"] += int(count)
-
     def as_dict(self) -> dict[str, dict]:
         """``{name: {"total_s": ..., "count": ...}}`` in first-use order."""
         return {name: dict(stat) for name, stat in self._spans.items()}
-
-    def __bool__(self) -> bool:
-        return bool(self._spans)
 
 
 def merge_spans(into: dict[str, dict], spans: dict[str, dict]) -> None:

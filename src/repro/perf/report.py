@@ -11,8 +11,6 @@ the run) to ``FailureEstimate.metadata["perf"]``.  The CLI's
 
 from __future__ import annotations
 
-import json
-
 from repro.perf.profile import merge_spans
 
 #: additive counter keys (summed across runs when merging).
@@ -97,10 +95,6 @@ def merge_perf(perfs: list[dict]) -> dict:
     merged["screened_fraction"] = (
         merged["screened"] / labelled if labelled else 0.0)
     return merged
-
-
-def render_json(merged: dict) -> str:
-    return json.dumps(merged, indent=2)
 
 
 def render_text(merged: dict) -> str:

@@ -2,14 +2,11 @@
 
 One :class:`Executor` API, three backends (``serial``, ``thread``,
 ``process``), bit-identical results across all of them for a fixed seed
-(chunk plans and per-chunk RNG spawning are backend-independent), bounded
-retries with serial fallback, and per-chunk :class:`RunMetrics`
-telemetry.  This is the seam the estimator hot paths
-(:class:`~repro.core.ecripse.EcripseEstimator`,
-:class:`~repro.core.filter.ParticleFilterBank`,
-:class:`~repro.core.naive.NaiveMonteCarlo`) execute through; later
-sharding / async / multi-host work plugs in behind the same
-:class:`ExecutionConfig`.
+(row-pure labelling chunks, and RNG-consuming tasks that carry their own
+child generators), bounded retries with serial fallback, and per-chunk
+:class:`RunMetrics` telemetry.  This is the seam the estimator hot paths
+(:class:`~repro.core.ecripse.EcripseEstimator`'s simulation batches and
+:class:`~repro.core.naive.NaiveMonteCarlo`'s chunks) execute through.
 """
 
 from __future__ import annotations

@@ -6,10 +6,11 @@ re-creates its pool on the next submit, so executors can be reused).
 The serial "backend" is intentionally absent: the executor runs serial
 work inline so that laziness (early stopping) costs nothing.
 
-``thread`` shares the interpreter -- cheap to start, but the pure-Python
-SPICE solver holds the GIL, so it only overlaps the NumPy-released
-sections.  ``process`` pays pickling/startup per task but scales the
-solver across cores; see docs/TUNING.md for the trade-off.
+``thread`` shares the interpreter: cheap to start and lighter on
+memory.  The butterfly solve runs in NumPy kernels that release the
+GIL, so threads scale it as well as processes do.  ``process`` runs one
+interpreter per worker and pays pool start-up and pickling per task;
+docs/TUNING.md has the measured trade-off.
 """
 
 from __future__ import annotations

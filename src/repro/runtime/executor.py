@@ -3,16 +3,17 @@
 :class:`Executor` runs estimator workloads as ordered task lists on a
 configurable backend (serial / thread pool / process pool) with
 
-* **deterministic decomposition** -- :meth:`map_chunks` splits a sample
-  block with :func:`~repro.runtime.chunking.plan_chunks` and spawns one
-  child generator per chunk via :func:`repro.rng.spawn`, so for a fixed
-  seed and chunking the concatenated result is bit-identical on every
-  backend (results are always collected in plan order, regardless of
-  completion order);
+* **ordered results** -- :meth:`map_chunks` splits a row-pure block with
+  :func:`~repro.runtime.chunking.plan_chunks`, and :meth:`iter_tasks`
+  runs a caller-built task list (each RNG-consuming task carries its
+  own child generator); results are always collected in plan order,
+  regardless of completion order, so every backend returns the
+  bit-identical result;
 * **fault tolerance** -- a chunk that raises on the backend is retried
-  with bounded linear backoff and finally re-run serially in the parent
-  process; a broken pool (killed worker, unpicklable task) demotes the
-  whole run to serial instead of failing it;
+  :data:`MAX_RETRIES` times with a ``RETRY_BACKOFF_S * attempt`` sleep
+  and finally re-run serially in the parent process; a broken pool
+  (killed worker, unpicklable task) demotes the whole run to serial
+  instead of failing it;
 * **telemetry** -- every call appends a
   :class:`~repro.runtime.metrics.RunMetrics` (per-chunk wall time,
   attempts, fallbacks, plus the simulation-count delta of an attached
@@ -32,7 +33,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.rng import spawn
 from repro.runtime.backends import make_backend
 from repro.runtime.signals import shutdown_requested
 from repro.runtime.chunking import plan_chunks
@@ -41,6 +41,12 @@ from repro.runtime.metrics import ChunkRecord, RunMetrics
 
 if TYPE_CHECKING:  # avoid a runtime repro.core <-> repro.runtime cycle
     from repro.core.indicator import SimulationCounter
+
+#: Backend retries per failed chunk before the serial fallback.
+MAX_RETRIES = 2
+
+#: Sleep before retry ``k`` is ``k * RETRY_BACKOFF_S`` seconds.
+RETRY_BACKOFF_S = 0.05
 
 
 def _timed(fn: Callable, /, *args) -> tuple[Any, float]:
@@ -76,20 +82,18 @@ class Executor:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def map_chunks(self, fn, block: np.ndarray, *extra, rng=None,
-                   chunk_size: int | None = None,
+    def map_chunks(self, fn, block: np.ndarray, *extra,
                    simulations: int | None = None,
                    label: str = "map_chunks",
                    stats_sink=None) -> np.ndarray:
         """Apply ``fn`` to row-chunks of ``block``, concatenated in order.
 
-        ``fn`` is called as ``fn(chunk, *extra)``, or
-        ``fn(chunk, child_rng, *extra)`` when ``rng`` is given -- one
-        statistically independent child generator per chunk, spawned in
-        plan order from ``rng`` so the decomposition (and hence the
-        result) is identical on every backend.  An empty block short-cuts
-        to one in-process call so result dtype/shape still come from
-        ``fn``.
+        ``fn`` is called as ``fn(chunk, *extra)`` and must be pure per
+        row: the chunking follows the worker count
+        (:meth:`~repro.runtime.config.ExecutionConfig.resolve_chunk_size`),
+        so only a row-pure ``fn`` gives the same result on every
+        backend.  An empty block short-cuts to one in-process call so
+        result dtype/shape still come from ``fn``.
 
         ``simulations`` declares how many transistor-level simulations
         this run stands for: the count is added to the attached
@@ -106,32 +110,18 @@ class Executor:
         """
         block = np.asarray(block)
         n = block.shape[0]
-        size = (chunk_size if chunk_size is not None
-                else self.config.resolve_chunk_size(
-                    n, rng_dependent=rng is not None))
-        slices = plan_chunks(n, size)
+        slices = plan_chunks(n, self.config.resolve_chunk_size(n))
         if not slices:
             pre = self._pre_count(simulations)
-            child = spawn(rng, 1)[0] if rng is not None else None
-            args = ((block, child) + extra if child is not None
-                    else (block,) + extra)
-            result, _ = _timed(fn, *args)
+            result, _ = _timed(fn, block, *extra)
             result = self._apply_stats(result, "serial", stats_sink)
             self._record(label, [], n_items=0, n_simulations=pre)
             return np.asarray(result)
-        sizes = [sl.stop - sl.start for sl in slices]
-        rngs = spawn(rng, len(slices)) if rng is not None else None
-        tasks = []
-        for i, sl in enumerate(slices):
-            chunk = block[sl]
-            if rngs is not None:
-                tasks.append((chunk, rngs[i]) + extra)
-            else:
-                tasks.append((chunk,) + extra)
         outputs = []
         for result, record in self.iter_tasks(
-                fn, tasks, sizes=sizes, label=label,
-                simulations=simulations, with_records=True):
+                fn, [(block[sl],) + extra for sl in slices],
+                sizes=[sl.stop - sl.start for sl in slices], label=label,
+                simulations=simulations):
             outputs.append(self._apply_stats(result, record.where,
                                              stats_sink))
         return np.concatenate([np.asarray(r) for r in outputs])
@@ -145,18 +135,15 @@ class Executor:
         stats_sink(stats if isinstance(stats, dict) else {}, where)
         return payload
 
-    def map_tasks(self, fn, tasks: list[tuple], sizes=None,
-                  simulations: int | None = None,
-                  label: str = "map_tasks") -> list:
-        """Run ``fn(*args)`` for every argument tuple, results in order."""
-        return list(self.iter_tasks(fn, tasks, sizes=sizes, label=label,
-                                    simulations=simulations))
-
-    def iter_tasks(self, fn, tasks: list[tuple], sizes=None,
+    def iter_tasks(self, fn, tasks: list[tuple], sizes: list[int],
                    simulations: int | None = None,
-                   label: str = "iter_tasks",
-                   with_records: bool = False) -> Iterator[Any]:
-        """Yield results of ``fn(*args)`` in task order, lazily.
+                   label: str = "iter_tasks"
+                   ) -> Iterator[tuple[Any, ChunkRecord]]:
+        """Yield ``(fn(*args), ChunkRecord)`` in task order, lazily.
+
+        The record exposes per-chunk provenance (``record.where``) to
+        callers that must know whether a result was produced in the
+        parent process or on a pool worker.
 
         Stopping the iteration early abandons the remaining tasks (on the
         serial backend they never start; on pooled backends outstanding
@@ -164,18 +151,9 @@ class Executor:
         and are discarded, so early stopping never changes the consumed
         prefix).  Telemetry is finalised when the generator exhausts or
         is closed.
-
-        ``with_records=True`` yields ``(result, ChunkRecord)`` pairs
-        instead, exposing per-chunk provenance (``record.where``) to
-        callers that must know whether a result was produced in the
-        parent process or on a pool worker.
         """
-        tasks = list(tasks)
-        if sizes is None:
-            sizes = [1] * len(tasks)
         pre = self._pre_count(simulations)
-        return self._run_ordered(fn, tasks, list(sizes), label, pre,
-                                 with_records)
+        return self._run_ordered(fn, list(tasks), list(sizes), label, pre)
 
     def aggregate(self, label: str = "aggregate") -> RunMetrics:
         """All runs of this executor merged into one metrics object."""
@@ -212,29 +190,27 @@ class Executor:
         return int(simulations)
 
     def _run_ordered(self, fn, tasks, sizes, label,
-                     pre_simulations: int = 0,
-                     with_records: bool = False) -> Iterator[Any]:
+                     pre_simulations: int = 0
+                     ) -> Iterator[tuple[Any, ChunkRecord]]:
         start = time.perf_counter()
         count0 = self.counter.count if self.counter is not None else 0
         records: list[ChunkRecord] = []
         futures: list[Future | None] = []
-
-        def emit(result):
-            # the helper that produced `result` appended its record
-            return (result, records[-1]) if with_records else result
-
+        # each helper appends the record of the result it returns
         try:
             if self._backend is None or self._broken:
                 for index, args in enumerate(tasks):
-                    yield emit(self._run_serial(fn, index, args,
-                                                sizes[index], records))
+                    result = self._run_serial(fn, index, args,
+                                              sizes[index], records)
+                    yield result, records[-1]
                 return
             for args in tasks:
                 futures.append(self._submit_safe(fn, args))
             for index, (args, future) in enumerate(zip(tasks, futures)):
                 futures[index] = None  # consumed; no cancel on close
-                yield emit(self._collect(fn, index, args, sizes[index],
-                                         future, records))
+                result = self._collect(fn, index, args, sizes[index],
+                                       future, records)
+                yield result, records[-1]
         finally:
             for future in futures:
                 if future is not None:
@@ -258,7 +234,6 @@ class Executor:
 
     def _collect(self, fn, index, args, size, future, records) -> Any:
         """Resolve one chunk: retries on the backend, then serial fallback."""
-        cfg = self.config
         attempts = 1
         while True:
             try:
@@ -270,25 +245,19 @@ class Executor:
             except Exception as exc:
                 if isinstance(exc, BrokenExecutor):
                     self._broken = True
-                if self._broken or attempts > cfg.max_retries:
+                if self._broken or attempts > MAX_RETRIES:
                     return self._fallback(fn, index, args, size, attempts,
-                                          records, exc)
+                                          records)
                 # Drain fast under a pending graceful shutdown: the
                 # retry itself still happens (the chunk must complete
                 # for the result to stay deterministic), but the
                 # backoff sleep would only delay the final checkpoint.
                 if not shutdown_requested():
-                    time.sleep(cfg.retry_backoff_s * attempts)
+                    time.sleep(RETRY_BACKOFF_S * attempts)
                 attempts += 1
                 future = self._submit_safe(fn, args)
 
-    def _fallback(self, fn, index, args, size, attempts, records,
-                  cause) -> Any:
-        if not self.config.fallback_serial:
-            raise ExecutionError(
-                f"chunk {index} failed after {attempts} attempt(s) on the "
-                f"{self.config.backend} backend: {cause}",
-                chunk_index=index) from cause
+    def _fallback(self, fn, index, args, size, attempts, records) -> Any:
         try:
             result, wall = _timed(fn, *args)
         except Exception as exc:

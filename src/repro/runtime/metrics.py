@@ -1,16 +1,16 @@
 """Per-chunk telemetry of the parallel runtime.
 
 Every :meth:`~repro.runtime.executor.Executor.map_chunks` /
-``map_tasks`` call produces one :class:`RunMetrics` holding a
+``iter_tasks`` call produces one :class:`RunMetrics` holding a
 :class:`ChunkRecord` per executed chunk; the executor keeps them all in
 ``Executor.history`` and :meth:`RunMetrics.merge` aggregates across calls
 (e.g. for a whole estimator run).  Reports are available as text
-(:meth:`RunMetrics.report`) and JSON (:meth:`RunMetrics.to_json`).
+(:meth:`RunMetrics.report`) and as a plain dict
+(:meth:`RunMetrics.as_dict`, an estimate's ``metadata["execution"]``).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -23,7 +23,7 @@ class ChunkRecord:
     index:
         Position of the chunk in the plan (also the result order).
     size:
-        Rows in the chunk (1 for heterogeneous ``map_tasks`` tasks).
+        Rows in the chunk (1 for ``iter_tasks`` tasks without sizes).
     attempts:
         Total attempts on the configured backend (1 = first try worked).
     wall_time_s:
@@ -84,9 +84,9 @@ class RunMetrics:
         return sum(r.wall_time_s for r in self.records)
 
     # ------------------------------------------------------------------
-    def as_dict(self, include_chunks: bool = False) -> dict:
-        """JSON-serialisable summary (optionally with per-chunk rows)."""
-        out = {
+    def as_dict(self) -> dict:
+        """JSON-serialisable summary."""
+        return {
             "label": self.label,
             "backend": self.backend,
             "workers": self.workers,
@@ -102,13 +102,6 @@ class RunMetrics:
             # it from every naive-MC run's metadata["execution"]
             "shm_bytes": 0,
         }
-        if include_chunks:
-            out["chunks"] = [vars(r).copy() for r in self.records]
-        return out
-
-    def to_json(self, include_chunks: bool = False, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(include_chunks=include_chunks),
-                          indent=indent)
 
     def report(self) -> str:
         """Multi-line human-readable summary."""

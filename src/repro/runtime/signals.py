@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import signal
 import threading
-from typing import Callable
 
 #: default signals a coordinator listens for.
 DEFAULT_SIGNALS: tuple[signal.Signals, ...] = (
@@ -45,7 +44,6 @@ class GracefulShutdown:
         self._lock = threading.Lock()
         self._reason: str | None = None
         self._previous: dict[int, object] = {}
-        self._callbacks: list[Callable[[str], None]] = []
 
     # -- flag ----------------------------------------------------------
     @property
@@ -61,14 +59,10 @@ class GracefulShutdown:
 
     def request(self, reason: str = "shutdown") -> None:
         """Trip the flag (idempotent; first reason wins)."""
-        callbacks: list[Callable[[str], None]] = []
         with self._lock:
             if not self._event.is_set():
                 self._reason = reason
                 self._event.set()
-                callbacks = list(self._callbacks)
-        for callback in callbacks:
-            callback(reason)
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until a shutdown is requested (or timeout)."""
@@ -80,22 +74,6 @@ class GracefulShutdown:
         with self._lock:
             self._event.clear()
             self._reason = None
-
-    def on_request(self, callback: Callable[[str], None]) -> None:
-        """Register ``callback(reason)`` to run when the flag trips.
-
-        Callbacks must be quick and non-blocking -- they may run inside
-        a signal handler frame.  A callback registered after the flag
-        already tripped fires immediately.
-        """
-        fire = False
-        reason = "shutdown"
-        with self._lock:
-            self._callbacks.append(callback)
-            fire = self._event.is_set()
-            reason = self._reason or "shutdown"
-        if fire:
-            callback(reason)
 
     # -- signal plumbing ----------------------------------------------
     def install(self, signals: tuple[signal.Signals, ...] = DEFAULT_SIGNALS

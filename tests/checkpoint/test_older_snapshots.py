@@ -6,6 +6,12 @@ a ``mode`` (``None``, ``"chunked"`` or ``"legacy"``).  The entries are
 ignored and a resumed run finishes bit-identically -- except a
 ``"legacy"`` naive snapshot, which came from the removed single-stream
 loop: its fingerprint still matches, so only the restore can refuse it.
+
+Older naive-MC runs could also be chunked by the execution config
+(``ExecutionConfig(chunk_size=c)``) instead of at ``batch_size``.  The
+chunk never joined the fingerprint, so a snapshot chunked at
+``c != batch_size`` must be refused by the restore.  One chunked at
+``batch_size`` has the current format and resumes as above.
 """
 
 import numpy as np
@@ -127,4 +133,25 @@ class TestLegacyNaiveSnapshot:
         resume = CheckpointConfig(directory=tmp_path,
                                   every_simulations=None, resume=True)
         with pytest.raises(CheckpointError, match="single-stream"):
+            run_checkpointed(resume, "run", estimator, **NAIVE_RUN)
+
+
+class TestExecutionChunkedNaiveSnapshot:
+    def test_other_chunk_refused(self, tmp_path):
+        """An older run chunked at 250 under ``batch_size=500`` drew one
+        child stream per 250-sample chunk, as a ``batch_size=250`` run
+        does now.  The fingerprint check passes, so the restore must
+        refuse."""
+        older = older_tree(mid_run_snapshot(
+            lambda: NaiveMonteCarlo(
+                SPACE, FunctionIndicator(two_lobes, dim=DIM), NULL,
+                batch_size=250, seed=3),
+            NAIVE_RUN))
+        estimator = make_naive()
+        payload, arrays = encode_state(older)
+        CheckpointStore(tmp_path / "run").save(
+            payload, arrays, fingerprint=estimator.fingerprint(), step=1)
+        resume = CheckpointConfig(directory=tmp_path,
+                                  every_simulations=None, resume=True)
+        with pytest.raises(CheckpointError, match="chunked at 250"):
             run_checkpointed(resume, "run", estimator, **NAIVE_RUN)

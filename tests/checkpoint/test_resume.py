@@ -44,8 +44,7 @@ def indicator():
 def _execution(backend):
     if backend == "serial":
         return None
-    return ExecutionConfig(backend=backend, workers=2, chunk_size=256,
-                           max_retries=1, retry_backoff_s=0.0)
+    return ExecutionConfig(backend=backend, workers=2)
 
 
 def _config(backend):

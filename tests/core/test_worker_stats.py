@@ -16,9 +16,8 @@ from repro.runtime import ExecutionConfig
 pytestmark = pytest.mark.slow
 
 
-def _execution(backend, **kw):
-    return ExecutionConfig(backend=backend, workers=2, max_retries=1,
-                           retry_backoff_s=0.0, **kw)
+def _execution(backend):
+    return ExecutionConfig(backend=backend, workers=2)
 
 
 def _fresh_setup():
@@ -40,9 +39,10 @@ def _ecripse_run(execution):
 
 def _naive_run(execution):
     setup = _fresh_setup()
+    # four 500-sample chunks, so a pool runs several on its workers
     estimator = NaiveMonteCarlo(setup.space, setup.indicator,
-                                setup.rtn_model, seed=2015,
-                                execution=execution)
+                                setup.rtn_model, batch_size=500,
+                                seed=2015, execution=execution)
     result = estimator.run(n_samples=2000)
     return result, setup.evaluator.perf_stats()
 
@@ -59,12 +59,8 @@ class TestEcripseWorkerStats:
 
 class TestNaiveWorkerStats:
     def test_process_run_matches_serial_counters(self):
-        # same chunking both times: the chunk plan fixes the RNG
-        # decomposition, so only matched plans are comparable bitwise
-        serial_result, serial_stats = _naive_run(
-            _execution("serial", chunk_size=500))
-        process_result, process_stats = _naive_run(
-            _execution("process", chunk_size=500))
+        serial_result, serial_stats = _naive_run(_execution("serial"))
+        process_result, process_stats = _naive_run(_execution("process"))
         assert process_result.pfail == serial_result.pfail
         assert serial_stats["device_model_evals"] > 0
         assert process_stats["device_model_evals"] == \

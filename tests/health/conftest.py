@@ -40,8 +40,7 @@ def indicator():
 def execution(backend):
     if backend == "serial":
         return ExecutionConfig()
-    return ExecutionConfig(backend=backend, workers=2, chunk_size=256,
-                           max_retries=1, retry_backoff_s=0.0)
+    return ExecutionConfig(backend=backend, workers=2)
 
 
 def make_estimator(backend="serial", health=None, seed=7, config=TINY):

@@ -197,7 +197,7 @@ class TestRep003ExecutorPickling:
             "def run(ex, tasks):\n"
             "    def helper(x):\n"
             "        return x\n"
-            "    return ex.map_tasks(helper, tasks)\n"
+            "    return ex.iter_tasks(helper, tasks)\n"
         )
         assert rules_of(findings_for(source)) == ["REP003"]
 
@@ -214,7 +214,7 @@ class TestRep003ExecutorPickling:
             "def helper(x):\n"
             "    return x\n"
             "def run(ex, tasks):\n"
-            "    return ex.map_tasks(helper, tasks)\n"
+            "    return ex.iter_tasks(helper, tasks)\n"
         )
         assert findings_for(source) == []
 

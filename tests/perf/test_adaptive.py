@@ -183,8 +183,10 @@ class TestBuildEvaluator:
         assert fresh.cache is not ev.cache
         assert len(fresh.cache) == len(ev.cache) > 0
 
-    def test_config_validation(self):
+    def test_config_validation(self, paper_cell, paper_space):
         with pytest.raises(ValueError):
-            PerfConfig(coarse_iterations=4)
+            AdaptiveMarginEvaluator(paper_cell, paper_space,
+                                    coarse_iterations=4)
         with pytest.raises(ValueError):
-            PerfConfig(guard_safety=0.5)
+            AdaptiveMarginEvaluator(paper_cell, paper_space,
+                                    guard_safety=0.5)

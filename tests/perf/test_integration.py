@@ -98,10 +98,8 @@ class TestEcripseBitIdentity:
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_parallel_backends_match_serial(self, backend):
-        execution = ExecutionConfig(backend=backend, workers=2,
-                                    chunk_size=600)
-        serial, _ = run_once(
-            PerfConfig(), execution=ExecutionConfig(chunk_size=600))
+        execution = ExecutionConfig(backend=backend, workers=2)
+        serial, _ = run_once(PerfConfig())
         parallel, _ = run_once(PerfConfig(), execution=execution)
         assert_same_result(serial, parallel)
 

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import json
-
 from repro.perf.profile import StageProfiler, merge_spans
 from repro.health import HealthReport
-from repro.perf.report import (collect_runs, merge_perf, render_json,
-                               render_text)
+from repro.perf.report import collect_runs, merge_perf, render_text
 
 
 class TestStageProfiler:
@@ -29,19 +26,13 @@ class TestStageProfiler:
             pass
         assert profiler.as_dict()["boom"]["count"] == 1
 
-    def test_add_and_bool(self):
-        profiler = StageProfiler()
-        assert not profiler
-        profiler.add("external", 1.5, count=2)
-        assert profiler
-        assert profiler.as_dict() == {
-            "external": {"total_s": 1.5, "count": 2}}
-
     def test_as_dict_is_a_copy(self):
         profiler = StageProfiler()
-        profiler.add("a", 1.0)
+        with profiler.span("a"):
+            pass
+        total = profiler.as_dict()["a"]["total_s"]
         profiler.as_dict()["a"]["total_s"] = 99.0
-        assert profiler.as_dict()["a"]["total_s"] == 1.0
+        assert profiler.as_dict()["a"]["total_s"] == total
 
 
 class TestMergeSpans:
@@ -103,6 +94,4 @@ class TestCollectAndMerge:
         merged = merge_perf([self.perf_dict()])
         text = render_text(merged)
         assert "device-model evals" in text and "stage2-label" in text
-        parsed = json.loads(render_json(merged))
-        assert parsed["device_model_evals"] == 100
 

@@ -1,9 +1,12 @@
 """Tests for ExecutionConfig validation and chunk-size resolution."""
 
+import dataclasses
+
 import pytest
 
+from repro.perf import PerfConfig
 from repro.runtime import ExecutionConfig
-from repro.runtime.config import DEFAULT_RNG_CHUNK, MIN_PURE_CHUNK
+from repro.runtime.config import MIN_PURE_CHUNK
 
 
 class TestValidation:
@@ -20,39 +23,17 @@ class TestValidation:
     def test_bad_counts_rejected(self):
         with pytest.raises(ValueError):
             ExecutionConfig(workers=0)
-        with pytest.raises(ValueError):
-            ExecutionConfig(chunk_size=0)
-        with pytest.raises(ValueError):
-            ExecutionConfig(max_retries=-1)
-        with pytest.raises(ValueError):
-            ExecutionConfig(retry_backoff_s=-0.1)
 
-    def test_with_(self):
-        cfg = ExecutionConfig().with_(backend="thread", workers=3)
-        assert cfg.backend == "thread"
-        assert cfg.effective_workers == 3
-        assert ExecutionConfig().backend == "serial"
+    def test_only_backend_and_workers_remain(self):
+        """Execution is backend + workers and the perf policy is
+        adaptive + cache path; a new knob needs a caller that sets it."""
+        assert [f.name for f in dataclasses.fields(ExecutionConfig)] == [
+            "backend", "workers"]
+        assert [f.name for f in dataclasses.fields(PerfConfig)] == [
+            "adaptive", "cache_path"]
 
 
 class TestChunkResolution:
-    def test_explicit_chunk_size_wins(self):
-        cfg = ExecutionConfig(chunk_size=37)
-        assert cfg.resolve_chunk_size(10_000) == 37
-        assert cfg.resolve_chunk_size(10_000, rng_dependent=True) == 37
-
-    def test_rng_default_is_backend_independent(self):
-        """The stream decomposition must not depend on backend/workers,
-        otherwise parallel estimates would differ from serial ones."""
-        n = 10_000
-        sizes = {ExecutionConfig(backend=b, workers=w).resolve_chunk_size(
-            n, rng_dependent=True)
-            for b, w in (("serial", None), ("thread", 2), ("process", 8))}
-        assert sizes == {DEFAULT_RNG_CHUNK}
-
-    def test_rng_default_capped_by_block(self):
-        cfg = ExecutionConfig(backend="process", workers=4)
-        assert cfg.resolve_chunk_size(100, rng_dependent=True) == 100
-
     def test_pure_serial_is_single_chunk(self):
         assert ExecutionConfig().resolve_chunk_size(5000) == 5000
 

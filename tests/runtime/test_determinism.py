@@ -11,11 +11,11 @@ import os
 import numpy as np
 
 from repro.core.ecripse import EcripseConfig, EcripseEstimator
-from repro.core.filter import ParticleFilterBank
 from repro.core.indicator import FunctionIndicator
 from repro.core.naive import NaiveMonteCarlo
 from repro.rtn.model import ZeroRtnModel
-from repro.runtime import ExecutionConfig, Executor
+from repro.runtime import ExecutionConfig
+from repro.runtime import executor as executor_module
 from repro.variability.space import VariabilitySpace
 
 DIM = 4
@@ -54,16 +54,18 @@ class FailsInWorkers:
 
 
 def _execution(backend):
-    return ExecutionConfig(backend=backend, workers=2, chunk_size=64,
-                           max_retries=1, retry_backoff_s=0.0)
+    return ExecutionConfig(backend=backend, workers=2)
 
 
-def _ecripse_result(execution=None, indicator=None):
+def _ecripse_estimator(execution=None, indicator=None):
     config = FAST if execution is None else FAST.with_(execution=execution)
     if indicator is None:
         indicator = FunctionIndicator(two_lobes, DIM)
-    estimator = EcripseEstimator(SPACE, indicator, NULL, config=config,
-                                 seed=7)
+    return EcripseEstimator(SPACE, indicator, NULL, config=config, seed=7)
+
+
+def _ecripse_result(execution=None, indicator=None):
+    estimator = _ecripse_estimator(execution, indicator)
     return estimator.run(target_relative_error=0.2)
 
 
@@ -94,10 +96,26 @@ class TestEcripseAcrossBackends:
         assert runtime["n_simulations"] == (
             result.n_simulations - result.metadata["boundary_simulations"])
 
-    def test_worker_faults_do_not_corrupt_estimate(self):
-        """ISSUE fault-injection criterion: chunks that raise on the pool
-        are retried, then recomputed serially, and the final estimate is
+    def test_filter_prediction_runs_inline(self):
+        """Stage-1 prediction never reaches the pool: a process run
+        records only simulation batches and matches serial bit for
+        bit."""
+        serial = _ecripse_result(_execution("serial"))
+        estimator = _ecripse_estimator(_execution("process"))
+        result = estimator.run(target_relative_error=0.2)
+        labels = {run.label for run in estimator.executor.history}
+        assert labels == {"simulate-labels"}
+        assert result.pfail == serial.pfail
+        assert result.ci_halfwidth == serial.ci_halfwidth
+        assert result.n_simulations == serial.n_simulations
+        assert [p.as_dict() for p in result.trace] == \
+            [p.as_dict() for p in serial.trace]
+
+    def test_worker_faults_do_not_corrupt_estimate(self, monkeypatch):
+        """Fault injection: chunks that raise on the pool are retried,
+        then recomputed serially, and the final estimate is
         bit-identical to the healthy serial run."""
+        monkeypatch.setattr(executor_module, "RETRY_BACKOFF_S", 0.0)
         healthy = _ecripse_result(_execution("serial"))
         faulty = _ecripse_result(
             _execution("process"),
@@ -110,7 +128,8 @@ class TestEcripseAcrossBackends:
 class TestNaiveAcrossBackends:
     def _run(self, backend, target=None, indicator=two_lobes):
         mc = NaiveMonteCarlo(SPACE, FunctionIndicator(indicator, DIM),
-                             NULL, seed=3, execution=_execution(backend))
+                             NULL, batch_size=64, seed=3,
+                             execution=_execution(backend))
         return mc.run(4000, target_relative_error=target)
 
     def test_backends_match_bitwise(self):
@@ -131,22 +150,3 @@ class TestNaiveAcrossBackends:
         assert process.n_simulations == serial.n_simulations
         assert process.n_simulations < 4000  # the stop actually fired
         assert process.pfail == serial.pfail
-
-
-class TestFilterBankAcrossBackends:
-    def test_predict_all_matches_plain_path(self):
-        boundary = np.random.default_rng(0).normal(size=(12, DIM))
-
-        def bank():
-            return ParticleFilterBank(boundary, n_filters=3,
-                                      n_particles=40, kernel_sigma=0.3,
-                                      rng=np.random.default_rng(11))
-
-        for backend in ("serial", "thread", "process"):
-            plain, b = bank(), bank()
-            ref = plain.predict_all()
-            with Executor(_execution(backend)) as ex:
-                out = b.predict_all(ex)
-            assert np.array_equal(out, ref)
-            # the generators advanced identically: next round matches too
-            assert np.array_equal(b.predict_all(), plain.predict_all())

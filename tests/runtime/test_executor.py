@@ -11,15 +11,16 @@ from repro.core.indicator import SimulationCounter
 from repro.errors import BudgetExceededError, ExecutionError
 from repro.rng import spawn
 from repro.runtime import ExecutionConfig, Executor
+from repro.runtime import executor as executor_module
+from repro.runtime.config import MIN_PURE_CHUNK as CHUNK
 
 BACKENDS = ("serial", "thread", "process")
 
 
-def _cfg(backend, **kw):
-    kw.setdefault("workers", 2)
-    kw.setdefault("max_retries", 1)
-    kw.setdefault("retry_backoff_s", 0.0)
-    return ExecutionConfig(backend=backend, **kw)
+def _cfg(backend):
+    # on two workers a block of k * CHUNK rows (k <= 8) runs as k chunks
+    # on a pool, and as one chunk on the serial backend
+    return ExecutionConfig(backend=backend, workers=2)
 
 
 # module-level task bodies so the process backend can pickle them
@@ -29,10 +30,6 @@ def double(chunk):
 
 def draw_normals(chunk, rng):
     return chunk + rng.standard_normal(chunk.shape)
-
-
-def add_args(a, b):
-    return a + b
 
 
 def fail_outside_pid(chunk, pid):
@@ -68,58 +65,43 @@ def row_sums_with_stats(chunk):
 class TestMapChunks:
     def test_pure_map_matches_direct_call(self, backend):
         block = np.arange(101, dtype=float).reshape(-1, 1)
-        with Executor(_cfg(backend, chunk_size=8)) as ex:
+        with Executor(_cfg(backend)) as ex:
             out = ex.map_chunks(double, block)
         assert np.array_equal(out, block * 2)
 
-    def test_rng_map_identical_across_backends(self, backend):
-        """The acceptance contract: chunked RNG consumption is a pure
-        function of (seed, n, chunk_size) -- never of the backend."""
-        block = np.zeros((300, 2))
-        with Executor(_cfg(backend, chunk_size=64)) as ex:
-            out = ex.map_chunks(draw_normals, block,
-                                rng=np.random.default_rng(9))
-        with Executor(ExecutionConfig()) as serial:
-            ref = serial.map_chunks(draw_normals, block,
-                                    rng=np.random.default_rng(9),
-                                    chunk_size=64)
-        assert np.array_equal(out, ref)
-
     def test_empty_block(self, backend):
-        with Executor(_cfg(backend, chunk_size=4)) as ex:
+        with Executor(_cfg(backend)) as ex:
             out = ex.map_chunks(double, np.empty((0, 3)))
         assert out.shape == (0, 3)
 
     def test_block_smaller_than_chunk(self, backend):
         block = np.arange(3, dtype=float)
-        with Executor(_cfg(backend, chunk_size=100)) as ex:
+        with Executor(_cfg(backend)) as ex:
             out = ex.map_chunks(double, block)
             assert ex.last_metrics.n_chunks == 1
         assert np.array_equal(out, block * 2)
 
-    def test_map_tasks_preserves_order(self, backend):
-        tasks = [(i, 10 * i) for i in range(20)]
-        with Executor(_cfg(backend)) as ex:
-            assert ex.map_tasks(add_args, tasks) == [11 * i
-                                                     for i in range(20)]
-
 
 class TestFaultTolerance:
+    @pytest.fixture(autouse=True)
+    def _no_backoff(self, monkeypatch):
+        monkeypatch.setattr(executor_module, "RETRY_BACKOFF_S", 0.0)
+
     def test_process_failure_retried_then_falls_back(self):
         """A chunk that raises on the pool is retried, then recomputed
         serially in the parent without corrupting the result."""
-        block = np.arange(10, dtype=float)
-        with Executor(_cfg("process", chunk_size=3)) as ex:
+        block = np.arange(4 * CHUNK, dtype=float)
+        with Executor(_cfg("process")) as ex:
             out = ex.map_chunks(fail_outside_pid, block, os.getpid())
             metrics = ex.last_metrics
         assert np.array_equal(out, block * 2)
         assert metrics.n_fallbacks == metrics.n_chunks == 4
-        assert metrics.n_retries == 4  # max_retries=1 per chunk
+        assert metrics.n_retries == 4 * executor_module.MAX_RETRIES
         assert all(r.where == "serial-fallback" for r in metrics.records)
 
     def test_thread_failure_falls_back(self):
-        block = np.arange(8, dtype=float)
-        with Executor(_cfg("thread", chunk_size=4)) as ex:
+        block = np.arange(2 * CHUNK, dtype=float)
+        with Executor(_cfg("thread")) as ex:
             out = ex.map_chunks(fail_outside_thread, block,
                                 threading.get_ident())
             assert ex.last_metrics.n_fallbacks == 2
@@ -128,31 +110,25 @@ class TestFaultTolerance:
     def test_unpicklable_task_degrades_to_serial(self):
         """A lambda cannot cross the process boundary; the run must
         still complete via the in-parent fallback."""
-        block = np.arange(6, dtype=float)
-        with Executor(_cfg("process", chunk_size=2)) as ex:
+        block = np.arange(3 * CHUNK, dtype=float)
+        with Executor(_cfg("process")) as ex:
             # the lambda IS the fixture: it must not pickle
             out = ex.map_chunks(lambda c: c + 1,  # repro: allow-exec-lambda
                                 block)
             assert ex.last_metrics.n_fallbacks == 3
         assert np.array_equal(out, block + 1)
 
-    def test_fallback_disabled_raises_execution_error(self):
-        block = np.arange(6, dtype=float)
-        cfg = _cfg("process", chunk_size=2, fallback_serial=False)
-        with Executor(cfg) as ex:
-            with pytest.raises(ExecutionError) as info:
-                ex.map_chunks(fail_outside_pid, block, -1)
-        assert info.value.chunk_index == 0
-
     def test_fallback_failure_chains_execution_error(self):
         def boom(chunk):
             raise RuntimeError("always broken")
 
         # unpicklable closure fails on the pool AND in the fallback
-        with Executor(_cfg("process", chunk_size=2)) as ex:
-            with pytest.raises(ExecutionError, match="serial fallback"):
+        with Executor(_cfg("process")) as ex:
+            with pytest.raises(ExecutionError,
+                               match="serial fallback") as info:
                 ex.map_chunks(boom,  # repro: allow-exec-lambda
                               np.arange(4.0))
+        assert info.value.chunk_index == 0
 
     def test_serial_backend_raises_task_error_directly(self):
         with Executor(_cfg("serial")) as ex:
@@ -165,7 +141,7 @@ class TestLazyIteration:
         calls = []
         tasks = [(np.zeros(4), calls) for _ in range(10)]
         with Executor(ExecutionConfig()) as ex:
-            results = ex.iter_tasks(count_into, tasks)
+            results = ex.iter_tasks(count_into, tasks, sizes=[1] * 10)
             for i, _ in enumerate(results):
                 if i == 2:
                     results.close()
@@ -180,10 +156,10 @@ class TestLazyIteration:
         def prefix(backend):
             rngs = spawn(np.random.default_rng(1), 8)
             tasks = [(np.zeros((50, 1)), r) for r in rngs]
-            with Executor(_cfg(backend, chunk_size=50)) as ex:
+            with Executor(_cfg(backend)) as ex:
                 results = ex.iter_tasks(draw_normals, tasks,
                                         sizes=[50] * 8)
-                out = [next(results), next(results)]
+                out = [next(results)[0], next(results)[0]]
                 results.close()
             return np.concatenate(out)
 
@@ -193,12 +169,12 @@ class TestLazyIteration:
 class TestTelemetry:
     def test_declared_simulations_counted_and_recorded(self):
         counter = SimulationCounter()
-        with Executor(ExecutionConfig(), counter=counter) as ex:
-            ex.map_chunks(double, np.zeros((25, 1)), chunk_size=10,
-                          simulations=25)
-        assert counter.count == 25
-        assert ex.last_metrics.n_simulations == 25
-        assert ex.last_metrics.n_items == 25
+        n = 3 * CHUNK
+        with Executor(_cfg("thread"), counter=counter) as ex:
+            ex.map_chunks(double, np.zeros((n, 1)), simulations=n)
+        assert counter.count == n
+        assert ex.last_metrics.n_simulations == n
+        assert ex.last_metrics.n_items == n
         assert ex.last_metrics.n_chunks == 3
 
     def test_counter_delta_during_consumption_recorded(self):
@@ -211,7 +187,7 @@ class TestTelemetry:
         with Executor(ExecutionConfig(), counter=counter) as ex:
             # closure over counter is fine: serial backend, no pickling
             ex.map_chunks(evaluate,  # repro: allow-exec-lambda
-                          np.zeros((25, 1)), chunk_size=10)
+                          np.zeros((25, 1)))
         assert ex.last_metrics.n_simulations == 25
 
     def test_budget_trips_before_any_work(self):
@@ -220,20 +196,20 @@ class TestTelemetry:
         with Executor(ExecutionConfig(), counter=counter) as ex:
             with pytest.raises(BudgetExceededError):
                 ex.map_chunks(count_into, np.zeros((25, 1)), calls,
-                              chunk_size=10, simulations=25)
+                              simulations=25)
         assert calls == []  # the breaker fired before dispatch
 
     def test_history_aggregates(self):
-        with Executor(ExecutionConfig()) as ex:
-            ex.map_chunks(double, np.zeros((10, 1)), chunk_size=5)
-            ex.map_chunks(double, np.zeros((6, 1)), chunk_size=3)
+        with Executor(_cfg("thread")) as ex:
+            ex.map_chunks(double, np.zeros((2 * CHUNK, 1)))
+            ex.map_chunks(double, np.zeros((3 * CHUNK, 1)))
             total = ex.aggregate()
         assert len(ex.history) == 2
-        assert total.n_items == 16
-        assert total.n_chunks == 4
+        assert total.n_items == 5 * CHUNK
+        assert total.n_chunks == 5
 
     def test_chunk_records_have_timing(self):
-        with Executor(_cfg("thread", chunk_size=4)) as ex:
+        with Executor(_cfg("thread")) as ex:
             ex.map_chunks(double, np.zeros((8, 1)))
             record = ex.last_metrics.records[0]
         assert record.wall_time_s >= 0.0
@@ -241,7 +217,7 @@ class TestTelemetry:
         assert record.attempts == 1
 
     def test_executor_reusable_after_close(self):
-        ex = Executor(_cfg("thread", chunk_size=4))
+        ex = Executor(_cfg("thread"))
         out1 = ex.map_chunks(double, np.arange(8.0))
         ex.close()
         out2 = ex.map_chunks(double, np.arange(8.0))
@@ -254,17 +230,18 @@ class TestStatsSink:
         ("serial", "serial"), ("process", "process")])
     def test_sink_sees_every_chunk_with_provenance(self, rng,
                                                    backend, where):
-        block = rng.normal(size=(40, 6))
+        chunks = 1 if backend == "serial" else 4
+        block = rng.normal(size=(4 * CHUNK, 6))
         seen = []
 
         def sink(stats, origin):
             seen.append((stats, origin))
 
-        with Executor(_cfg(backend, chunk_size=10)) as ex:
+        with Executor(_cfg(backend)) as ex:
             got = ex.map_chunks(row_sums_with_stats, block,
                                 stats_sink=sink)
         assert np.array_equal(got, row_sums(block))
-        assert len(seen) == 4
+        assert len(seen) == chunks
         assert all(origin == where for _, origin in seen)
         assert sum(stats["rows"] for stats, _ in seen) == block.shape[0]
 
@@ -286,7 +263,7 @@ class TestWithRecords:
         with Executor(ExecutionConfig()) as ex:
             pairs = list(ex.iter_tasks(
                 row_sums, [(np.ones((2, 3)),), (np.ones((4, 3)),)],
-                sizes=[2, 4], with_records=True))
+                sizes=[2, 4]))
         assert [record.size for _, record in pairs] == [2, 4]
         assert all(record.where == "serial" for _, record in pairs)
         assert np.array_equal(pairs[0][0], np.full(2, 3.0))

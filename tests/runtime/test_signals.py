@@ -61,30 +61,6 @@ class TestFlag:
         assert woke.is_set()
 
 
-class TestCallbacks:
-    def test_callback_fires_on_request_with_reason(self):
-        coordinator = GracefulShutdown()
-        seen = []
-        coordinator.on_request(seen.append)
-        coordinator.request("drain")
-        assert seen == ["drain"]
-
-    def test_late_registration_fires_immediately(self):
-        coordinator = GracefulShutdown()
-        coordinator.request("early")
-        seen = []
-        coordinator.on_request(seen.append)
-        assert seen == ["early"]
-
-    def test_callbacks_fire_once(self):
-        coordinator = GracefulShutdown()
-        seen = []
-        coordinator.on_request(seen.append)
-        coordinator.request("a")
-        coordinator.request("b")
-        assert seen == ["a"]
-
-
 class TestSignalPlumbing:
     @pytest.fixture(autouse=True)
     def _restore_sigterm(self):
