@@ -140,7 +140,7 @@ class EcripseConfig:
     -----------------
     health:
         :class:`~repro.health.policy.HealthConfig` selecting the
-        degradation policy and guardrail thresholds (see
+        degradation policy and fault injection (see
         :mod:`repro.health`).  The default (``strict``, no injection)
         reproduces the legacy behaviour exactly on healthy runs.  Part
         of the config, so it participates in the checkpoint
@@ -224,6 +224,18 @@ _EXECUTION_IN_FINGERPRINT = _FixedRepr(
     "ExecutionConfig(backend='serial', workers=None, chunk_size=None, "
     "max_retries=2, retry_backoff_s=0.05, fallback_serial=True, "
     "shm_threshold_bytes=1048576)")
+
+#: Template of the stand-in hashed for the health config.  It is the
+#: repr ``HealthConfig`` had when its thresholds were fields and stored
+#: fingerprints were computed; only ``policy`` and ``inject`` are still
+#: settable, so their reprs fill the two slots and the rest stays
+#: verbatim.
+_HEALTH_IN_FINGERPRINT = (
+    "HealthConfig(policy={policy!r}, solver_retries=2, "
+    "solver_accept_residual=1e-06, stage1_ess_floor=0.02, "
+    "stage1_patience=2, max_reseeds=2, stage2_ess_floor=0.02, "
+    "stage2_patience=2, sigma_widen=1.5, max_widenings=2, "
+    "weight_clip_factor=1.000001, inject={inject!r})")
 
 
 class EcripseEstimator:
@@ -526,7 +538,8 @@ class EcripseEstimator:
                 x = self.mixture.sample(cfg.stage2_batch, self._rng_stage2)
                 ratios = importance_ratios(self.space, self.mixture, x)
                 ratios = self.health.clip_ratios(
-                    ratios, self.mixture.weight_bound, self._stage2_batches)
+                    ratios, self.mixture.weight_bound,
+                    self._stage2_batches + 1)
                 total = self._total_shift_samples(x, m, self._rng_stage2)
             with self.profiler.span("stage2-label"):
                 labels = self._labels_stage2(total)
@@ -602,9 +615,15 @@ class EcripseEstimator:
         Covers the method, the space dimensionality, the configuration
         and the RTN model -- but not the execution backend, so a run
         checkpointed under one backend may legally resume under another
-        (the estimate is backend-invariant by construction).
+        (the estimate is backend-invariant by construction).  The
+        execution and health configs are hashed as the pinned stand-ins
+        above, so stored fingerprints survive changes to their fields.
         """
-        cfg = self.config.with_(execution=_EXECUTION_IN_FINGERPRINT)
+        health = _FixedRepr(_HEALTH_IN_FINGERPRINT.format(
+            policy=self.config.health.policy,
+            inject=self.config.health.inject))
+        cfg = self.config.with_(execution=_EXECUTION_IN_FINGERPRINT,
+                                health=health)
         return format(stable_seed(
             self.method, self.space.dim, cfg,
             type(self.rtn_model).__name__,

@@ -28,18 +28,15 @@ class NetlistError(ReproError):
 class ConvergenceError(ReproError):
     """Raised when a nonlinear solve fails to converge.
 
-    Carries the residual of the best iterate (finite by construction in
-    :class:`~repro.spice.solver.DcSolver`) plus the iterate itself, so
-    the health layer's degraded-accept path can decide whether the
-    partial answer is usable and package it without re-solving.
+    Carries the KCL residual of the best iterate reached (finite by
+    construction in :class:`~repro.spice.solver.DcSolver`, which also
+    prints it in the message), so a failed solve is always diagnosable.
+    ``None`` when no residual exists, as for an injected fault.
     """
 
-    def __init__(self, message: str, residual: float | None = None,
-                 best_x=None, iterations: int = 0):
+    def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
-        self.best_x = best_x
-        self.iterations = iterations
 
 
 class CalibrationError(ReproError):

@@ -67,9 +67,9 @@ def _add_common_args(cmd: argparse.ArgumentParser) -> None:
                      default="strict",
                      help="degradation policy: strict fails fast with "
                           "typed errors, recover runs the guardrail "
-                          "recovery paths within thresholds, permissive "
-                          "accepts best-effort results beyond them "
-                          "(default: strict; see docs/ROBUSTNESS.md)")
+                          "recovery paths within fixed thresholds, "
+                          "permissive runs the same paths under its own "
+                          "name (default: strict; see docs/ROBUSTNESS.md)")
     cmd.add_argument("--report", choices=("text", "json"),
                      default=None, metavar="{text,json}",
                      help="print the aggregated health report (events, "

@@ -2,11 +2,12 @@
 
 The health layer turns fatal numerical failures in the two-stage
 ECRIPSE estimator into detected, recovered and reported events.  Four
-recovery paths sit behind a :class:`HealthPolicy`:
+recovery paths sit behind a :class:`HealthPolicy`; their thresholds are
+constants in :mod:`repro.health.monitor`:
 
-1. **solver** -- convergence failures retry with escalating damping /
-   continuation and may accept a best iterate under a residual bound
-   (:func:`solve_with_recovery`);
+1. **solver** -- a simulation batch that raises
+   :class:`~repro.errors.ConvergenceError` is re-run, up to
+   ``SOLVER_RETRIES`` times;
 2. **particle filters** -- per-step ESS and lobe-collapse monitors with
    deterministic re-seeding from the boundary cache and quarantine;
 3. **stage-2 importance sampling** -- ESS floor on the importance
@@ -31,7 +32,6 @@ from repro.health.events import (
 from repro.health.inject import FAULT_KINDS, FaultInjector, parse_fault_spec
 from repro.health.monitor import HealthMonitor
 from repro.health.policy import HealthConfig, HealthPolicy
-from repro.health.solver import solve_with_recovery
 
 __all__ = [
     "CATEGORIES",
@@ -44,5 +44,4 @@ __all__ = [
     "HealthPolicy",
     "HealthReport",
     "parse_fault_spec",
-    "solve_with_recovery",
 ]

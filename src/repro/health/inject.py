@@ -27,10 +27,11 @@ fault kind              effect at the seam
 Spec grammar: ``kind[:count[:skip]]`` -- fire ``count`` times after
 skipping the first ``skip`` opportunities.  Defaults are chosen so the
 bare kind name triggers its recovery path once (e.g. ``filter`` fires
-for ``stage1_patience`` consecutive iterations starting at the third,
-after the filter has come alive).  Firing is a pure function of the
-injector's counters, which ride in the health snapshot, so a killed and
-resumed run injects the identical fault sequence.
+for :data:`~repro.health.monitor.STAGE1_PATIENCE` consecutive
+iterations starting at the third, after the filter has come alive).
+Firing is a pure function of the injector's counters, which ride in the
+health snapshot, so a killed and resumed run injects the identical
+fault sequence.
 """
 
 from __future__ import annotations
@@ -90,10 +91,6 @@ class FaultInjector:
         #: faults actually injected.
         self.fired = 0
 
-    @property
-    def enabled(self) -> bool:
-        return self.kind is not None
-
     def fire(self, kind: str) -> bool:
         """True when a fault of ``kind`` must be injected *now*.
 
@@ -108,11 +105,6 @@ class FaultInjector:
             return False
         self.fired += 1
         return True
-
-    @property
-    def exhausted(self) -> bool:
-        """All configured faults have been injected."""
-        return self.enabled and self.fired >= self.count
 
     # -- checkpointing -------------------------------------------------
     def state(self) -> dict:

@@ -35,6 +35,29 @@ from repro.health.events import HealthEvent, HealthReport
 from repro.health.inject import FaultInjector
 from repro.health.policy import HealthConfig
 
+#: simulation-batch retries after a ConvergenceError before giving up.
+SOLVER_RETRIES = 2
+#: ESS fraction below which a live filter's iteration is logged as
+#: starved (diagnostic only; the zero-weight streak drives quarantine).
+STAGE1_ESS_FLOOR = 0.02
+#: consecutive zero-weight iterations after which a previously live
+#: filter counts as collapsed.
+STAGE1_PATIENCE = 2
+#: re-seeds granted to a collapsed filter before it is quarantined.
+MAX_RESEEDS = 2
+#: Kish ESS fraction of a stage-2 weight batch below which the batch
+#: counts against STAGE2_PATIENCE.
+STAGE2_ESS_FLOOR = 0.02
+#: consecutive sub-floor stage-2 batches that trigger a widening.
+STAGE2_PATIENCE = 2
+#: stage-2 kernel sigma multiplier per widening.
+SIGMA_WIDEN = 1.5
+#: widenings granted before further ESS-floor breaches are only recorded.
+MAX_WIDENINGS = 2
+#: weights above WEIGHT_CLIP_FACTOR times their defensive-mixture bound
+#: are clipped; just above 1 so a weight exactly at the bound never is.
+WEIGHT_CLIP_FACTOR = 1.000001
+
 
 class HealthMonitor:
     """Per-run guardrail state machine (see module docstring)."""
@@ -87,7 +110,7 @@ class HealthMonitor:
     @property
     def sigma_multiplier(self) -> float:
         """Accumulated stage-2 kernel widening factor."""
-        return float(self.config.sigma_widen ** self._widenings)
+        return float(SIGMA_WIDEN ** self._widenings)
 
     # ------------------------------------------------------------------
     # seam 1: simulation batches (solver guard)
@@ -97,12 +120,11 @@ class HealthMonitor:
 
         ``fn`` performs the (side-effect-free until successful) batched
         labelling; a :class:`~repro.errors.ConvergenceError` from it is
-        retried up to ``solver_retries`` times under
-        ``recover``/``permissive``.  Injected faults raise *before*
-        ``fn`` runs, so a recovered injection leaves labels, counters
-        and RNG streams bit-identical to the uninjected run.
+        retried up to :data:`SOLVER_RETRIES` times unless the policy is
+        ``strict``.  Injected faults raise *before* ``fn`` runs, so a
+        recovered injection leaves labels, counters and RNG streams
+        bit-identical to the uninjected run.
         """
-        cfg = self.config
         failures = 0
         while True:
             try:
@@ -117,17 +139,17 @@ class HealthMonitor:
                 residual = (float(exc.residual)
                             if exc.residual is not None
                             and np.isfinite(exc.residual) else None)
-                if cfg.strict:
+                if self.config.strict:
                     self._record(
                         stage, "solver", "critical",
                         f"simulation batch failed to converge: {exc}",
                         residual=residual)
                     raise
-                if failures > cfg.solver_retries:
+                if failures > SOLVER_RETRIES:
                     self._record(
                         stage, "solver", "critical",
                         f"simulation batch still failing after "
-                        f"{cfg.solver_retries} retries: {exc}",
+                        f"{SOLVER_RETRIES} retries: {exc}",
                         attempts=failures, residual=residual)
                     raise
                 continue
@@ -162,13 +184,12 @@ class HealthMonitor:
         A filter that has *never* carried weight is a dead lobe (a
         legitimate state at extreme duty ratios) and is left alone.  A
         previously live filter whose weights stay all-zero for
-        ``stage1_patience`` consecutive iterations has collapsed:
-        ``strict`` raises :class:`~repro.errors.DegradationError`;
-        ``recover``/``permissive`` re-seed it deterministically from the
-        boundary cache, then quarantine it once ``max_reseeds`` is
+        :data:`STAGE1_PATIENCE` consecutive iterations has collapsed:
+        ``strict`` raises :class:`~repro.errors.DegradationError`; the
+        other policies re-seed it deterministically from the boundary
+        cache, then quarantine it once :data:`MAX_RESEEDS` is
         exhausted.
         """
-        cfg = self.config
         n = bank.n_particles
         if self._filters is None:
             self._filters = [
@@ -183,11 +204,11 @@ class HealthMonitor:
                 state["alive"] = True
                 state["zero_streak"] = 0
                 ess_fraction = effective_sample_size(w) / n
-                if ess_fraction < cfg.stage1_ess_floor:
+                if ess_fraction < STAGE1_ESS_FLOOR:
                     self._record(
                         "stage1", "filter-degeneracy", "info",
                         f"filter {j} ESS fraction {ess_fraction:.4f} "
-                        f"below floor {cfg.stage1_ess_floor} at "
+                        f"below floor {STAGE1_ESS_FLOOR} at "
                         f"iteration {iteration}",
                         filter=j, iteration=iteration,
                         ess_fraction=float(ess_fraction))
@@ -195,9 +216,9 @@ class HealthMonitor:
             if not state["alive"]:
                 continue  # dead lobe: never carried weight
             state["zero_streak"] += 1
-            if state["zero_streak"] < cfg.stage1_patience:
+            if state["zero_streak"] < STAGE1_PATIENCE:
                 continue
-            if cfg.strict:
+            if self.config.strict:
                 self._record(
                     "stage1", "filter-degeneracy", "critical",
                     f"filter {j} collapsed: zero weights for "
@@ -208,7 +229,7 @@ class HealthMonitor:
                     f"iteration {iteration} (zero weights for "
                     f"{state['zero_streak']} consecutive iterations)",
                     category="filter-degeneracy")
-            if state["reseeds"] >= cfg.max_reseeds:
+            if state["reseeds"] >= MAX_RESEEDS:
                 state["quarantined"] = True
                 self._record(
                     "stage1", "filter-degeneracy", "warning",
@@ -224,7 +245,7 @@ class HealthMonitor:
             self._record(
                 "stage1", "filter-degeneracy", "warning",
                 f"filter {j} re-seeded from the boundary cache "
-                f"(re-seed {state['reseeds']}/{cfg.max_reseeds}) at "
+                f"(re-seed {state['reseeds']}/{MAX_RESEEDS}) at "
                 f"iteration {iteration}",
                 recovered=True, warn=True, filter=j,
                 iteration=iteration, reseeds=state["reseeds"])
@@ -254,7 +275,6 @@ class HealthMonitor:
     def check_training_batch(self, blockade, fed: np.ndarray,
                              stage: str) -> None:
         """Degenerate-batch monitor + blockade-mode state machine."""
-        cfg = self.config
         fed = np.asarray(fed, dtype=bool)
         one_class = fed.size > 0 and (bool(np.all(fed))
                                       or not bool(np.any(fed)))
@@ -271,7 +291,7 @@ class HealthMonitor:
             return
         if not one_class or blockade.is_trained:
             return
-        if cfg.strict:
+        if self.config.strict:
             if injected:
                 self._record(
                     "classifier", "one-class", "critical",
@@ -307,7 +327,7 @@ class HealthMonitor:
         numerics.  ``strict`` raises; otherwise the weights are clipped
         and the estimate is permanently flagged *biased*.
         """
-        bound = self.config.weight_clip_factor * weight_bound
+        bound = WEIGHT_CLIP_FACTOR * weight_bound
         over = int(np.count_nonzero(ratios > bound))
         if not over:
             return ratios
@@ -333,7 +353,6 @@ class HealthMonitor:
                            batch_index: int) -> bool:
         """ESS-floor monitor; returns True when the mixture must be
         rebuilt with a widened kernel (the caller owns the rebuild)."""
-        cfg = self.config
         ratios = np.asarray(ratios, dtype=float)
         self._sum_w += float(ratios.sum())
         self._sum_w2 += float(np.sum(ratios * ratios))
@@ -343,26 +362,26 @@ class HealthMonitor:
         injected = self.injector.fire("is-weight")
         if injected:
             ess_fraction = 0.0
-        if ess_fraction >= cfg.stage2_ess_floor:
+        if ess_fraction >= STAGE2_ESS_FLOOR:
             self._stage2_low_streak = 0
             return False
         self._stage2_low_streak += 1
-        if self._stage2_low_streak < cfg.stage2_patience:
+        if self._stage2_low_streak < STAGE2_PATIENCE:
             return False
-        if cfg.strict:
+        if self.config.strict:
             self._record(
                 "stage2", "is-weight", "critical",
                 f"importance-weight ESS fraction {ess_fraction:.4f} "
-                f"below floor {cfg.stage2_ess_floor} for "
+                f"below floor {STAGE2_ESS_FLOOR} for "
                 f"{self._stage2_low_streak} consecutive batches",
                 batch=batch_index, ess_fraction=float(ess_fraction))
             raise DegradationError(
                 f"stage-2 importance-weight ESS collapsed (fraction "
-                f"{ess_fraction:.4f} below floor {cfg.stage2_ess_floor} "
+                f"{ess_fraction:.4f} below floor {STAGE2_ESS_FLOOR} "
                 f"for {self._stage2_low_streak} consecutive batches)",
                 category="is-weight")
         self._stage2_low_streak = 0
-        if self._widenings >= cfg.max_widenings:
+        if self._widenings >= MAX_WIDENINGS:
             self._record(
                 "stage2", "is-weight", "critical",
                 f"ESS floor still breached after {self._widenings} "
@@ -375,7 +394,7 @@ class HealthMonitor:
             f"importance-weight ESS degenerate at batch {batch_index}; "
             f"widening the mixture kernel to "
             f"{self.sigma_multiplier:.3g}x "
-            f"(widening {self._widenings}/{cfg.max_widenings})",
+            f"(widening {self._widenings}/{MAX_WIDENINGS})",
             recovered=True, warn=True, batch=batch_index,
             widenings=self._widenings)
         return True

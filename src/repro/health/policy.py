@@ -1,4 +1,4 @@
-"""Health policies and their tuning knobs.
+"""Health policies and the per-run health config.
 
 A :class:`HealthPolicy` decides what happens when a numerical guardrail
 trips:
@@ -12,14 +12,14 @@ trips:
   layer -- the monitors only *record*.
 * ``recover`` -- the recovery path runs (solver retries, filter
   re-seeding, mixture widening, classifier blockade, rule-of-three
-  upper bound) within the configured thresholds; every engagement emits
-  a :class:`~repro.errors.HealthyDegradation` warning and a
+  upper bound) within the thresholds fixed in
+  :mod:`repro.health.monitor`; every engagement emits a
+  :class:`~repro.errors.HealthyDegradation` warning and a
   :class:`~repro.health.events.HealthEvent`.  Recovery that cannot
   restore a usable state re-raises the original typed error.
-* ``permissive`` -- like ``recover`` but best-effort results are
-  accepted even beyond the thresholds (e.g. a solver iterate whose
-  residual exceeds the acceptance bound); the report carries
-  critical-severity events instead of an exception.
+* ``permissive`` -- runs exactly the ``recover`` paths under its own
+  name.  It stays a separate member because stored job specs, the
+  ``--health-policy`` flag and the result cache are keyed on it.
 """
 
 from __future__ import annotations
@@ -54,88 +54,29 @@ class HealthPolicy(enum.Enum):
 
 @dataclass(frozen=True)
 class HealthConfig:
-    """Guardrail thresholds for one estimator run.
+    """Health settings for one estimator run.
 
     Attributes
     ----------
     policy:
         The :class:`HealthPolicy` (or its string name).
-    solver_retries:
-        Label-simulation retries after a
-        :class:`~repro.errors.ConvergenceError` before giving up
-        (``recover``/``permissive`` only).
-    solver_accept_residual:
-        Residual bound [A] under which
-        :func:`repro.health.solver.solve_with_recovery` accepts a
-        non-converged best iterate.
-    stage1_ess_floor:
-        Effective-sample-size fraction below which a particle filter's
-        iteration is logged as starved (diagnostic event; quarantine is
-        driven by the zero-weight streak, not by this floor).
-    stage1_patience:
-        Consecutive zero-weight iterations after which a previously
-        live filter counts as collapsed.
-    max_reseeds:
-        Re-seeds from the boundary cache granted to a collapsed filter
-        before it is quarantined for the rest of the run.
-    stage2_ess_floor:
-        Kish ESS fraction of a stage-2 importance-weight batch below
-        which the batch counts against :attr:`stage2_patience`.
-    stage2_patience:
-        Consecutive sub-floor batches that trigger mixture widening.
-    sigma_widen:
-        Multiplier applied to the stage-2 kernel sigma per widening.
-    max_widenings:
-        Widenings granted before further ESS-floor breaches are only
-        recorded.
-    weight_clip_factor:
-        Importance weights above ``weight_clip_factor /
-        defensive_fraction`` (i.e. above their mathematical bound) are
-        clipped and the estimate flagged biased.  The factor's default
-        sits just above 1 so exact-bound weights never trip it.
     inject:
         Deterministic fault-injection spec (test/CI machinery; see
         :mod:`repro.health.inject`).  ``None`` disables injection.
+
+    Both fields change results, so both enter the estimator fingerprint
+    through the stand-in in :mod:`repro.core.ecripse`; a new field needs
+    the same decision there and in lint rule REP009's contract table.
     """
 
     policy: HealthPolicy = HealthPolicy.STRICT
-    solver_retries: int = 2
-    solver_accept_residual: float = 1e-6
-    stage1_ess_floor: float = 0.02
-    stage1_patience: int = 2
-    max_reseeds: int = 2
-    stage2_ess_floor: float = 0.02
-    stage2_patience: int = 2
-    sigma_widen: float = 1.5
-    max_widenings: int = 2
-    weight_clip_factor: float = 1.000001
     inject: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "policy", HealthPolicy.coerce(self.policy))
-        if self.solver_retries < 0:
-            raise ValueError("solver_retries must be >= 0")
-        if self.solver_accept_residual <= 0:
-            raise ValueError("solver_accept_residual must be positive")
-        if not 0.0 <= self.stage1_ess_floor < 1.0:
-            raise ValueError("stage1_ess_floor must lie in [0, 1)")
-        if not 0.0 <= self.stage2_ess_floor < 1.0:
-            raise ValueError("stage2_ess_floor must lie in [0, 1)")
-        if self.stage1_patience < 1 or self.stage2_patience < 1:
-            raise ValueError("patience values must be >= 1")
-        if self.max_reseeds < 0 or self.max_widenings < 0:
-            raise ValueError("max_reseeds/max_widenings must be >= 0")
-        if self.sigma_widen <= 1.0:
-            raise ValueError("sigma_widen must be > 1")
-        if self.weight_clip_factor < 1.0:
-            raise ValueError("weight_clip_factor must be >= 1")
         if self.inject is not None:
             parse_fault_spec(self.inject)  # fail fast on malformed specs
 
     @property
     def strict(self) -> bool:
         return self.policy is HealthPolicy.STRICT
-
-    @property
-    def permissive(self) -> bool:
-        return self.policy is HealthPolicy.PERMISSIVE

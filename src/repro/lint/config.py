@@ -215,6 +215,13 @@ FINGERPRINT_CONTRACTS: tuple[FingerprintContract, ...] = (
             "band_quantile", "retrain_trigger", "health",
         }),
         excluded=frozenset({"execution"})),
+    # The health config enters the estimator fingerprint through a
+    # pinned stand-in (EcripseEstimator.fingerprint) that fills in only
+    # these fields; a new field must be classified here and, if
+    # identity, given a slot there.
+    FingerprintContract(
+        cls="repro.health.policy.HealthConfig",
+        identity=frozenset({"policy", "inject"})),
     # The execution config never reaches a fingerprint (backend
     # invariance is the PR 1 guarantee); every field is excluded.
     FingerprintContract(

@@ -23,6 +23,7 @@ import json
 import sys
 
 from repro.errors import ServiceError
+from repro.health.policy import HealthPolicy
 from repro.service.client import ServiceClient
 from repro.service.scheduler import QuotaPolicy
 
@@ -107,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--quick", action="store_true")
     submit.add_argument("--grid-points", type=_positive_int, default=61)
     submit.add_argument("--health-policy", default="strict",
-                        choices=("strict", "recover", "permissive"))
+                        choices=[p.value for p in HealthPolicy])
     submit.add_argument("--pfail", type=float, default=None,
                         help="array jobs: direct cell pfail (omit to "
                              "chain a full estimator run)")

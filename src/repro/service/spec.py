@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 from repro.analysis.ecc import ArrayConfig
 from repro.errors import ServiceError
+from repro.health.policy import HealthPolicy
 
 #: job kinds the worker knows how to build (see repro.service.worker).
 JOB_KINDS: tuple[str, ...] = ("estimate", "naive", "array")
@@ -132,7 +133,7 @@ class JobSpec:
         if self.grid_points < 3:
             raise ServiceError(
                 f"grid_points must be >= 3, got {self.grid_points}")
-        if self.health_policy not in ("strict", "recover", "permissive"):
+        if self.health_policy not in {p.value for p in HealthPolicy}:
             raise ServiceError(
                 f"unknown health_policy {self.health_policy!r}")
         if self.checkpoint_every < 1:

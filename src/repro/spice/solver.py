@@ -8,7 +8,9 @@ The solve strategy mirrors what production SPICE engines do, scaled down:
 3. on failure, **source stepping** -- ramp all independent sources from
    0 to 100 %.
 
-Each stage warm-starts from the previous stage's best iterate.
+Each stage starts from the same initial guess; when all three fail,
+the :class:`~repro.errors.ConvergenceError` reports the smallest KCL
+residual any of them reached.
 """
 
 from __future__ import annotations
@@ -96,51 +98,38 @@ class DcSolver:
         x, iters, ok = self._newton(x0)
         if ok:
             return self._package(x, iters, "newton")
-        best_x, best_residual = self._best_iterate(x0, x)
 
         x_gmin, iters_gmin, ok = self._gmin_stepping(x0)
         iters += iters_gmin
         if ok:
             return self._package(x_gmin, iters, "gmin")
-        best_x, best_residual = self._best_iterate(best_x, x_gmin,
-                                                   best_residual)
 
         x_src, iters_src, ok = self._source_stepping(x0)
         iters += iters_src
         if ok:
             return self._package(x_src, iters, "source")
-        best_x, best_residual = self._best_iterate(best_x, x_src,
-                                                   best_residual)
 
+        # Every stage restores gmin and the source scale on exit, so
+        # each iterate's residual is taken on the original circuit.
+        best_residual = min(self._finite_residual(candidate)
+                            for candidate in (x0, x, x_gmin, x_src))
         raise ConvergenceError(
             f"DC solve failed for {self.system.circuit.name!r} after "
             f"{iters} total Newton iterations "
             f"(best residual {best_residual:.3e} A)",
-            residual=best_residual, best_x=best_x, iterations=iters)
+            residual=best_residual)
 
     # ------------------------------------------------------------------
-    def _best_iterate(self, current: np.ndarray, candidate: np.ndarray,
-                      current_residual: float | None = None
-                      ) -> tuple[np.ndarray, float]:
-        """Keep whichever of the two iterates has the smaller residual.
-
-        Non-finite candidates (diverged Newton iterates, singular-system
-        fallbacks) never win, so the returned residual is always finite:
-        the all-zero initial guess of :meth:`_coerce_guess` has a finite
-        residual for any assemblable circuit, and user-supplied guesses
-        are validated shapes of finite floats.
-        """
-        if current_residual is None:
-            current_residual = self._finite_residual(current)
-        candidate_residual = self._finite_residual(candidate)
-        if candidate_residual < current_residual:
-            return candidate.copy(), candidate_residual
-        return current, current_residual
-
     def _finite_residual(self, x: np.ndarray) -> float:
-        """KCL residual of ``x``, or +inf-replaced-by-huge for iterates
-        the residual cannot be evaluated on (keeps comparisons total and
-        the reported residual finite)."""
+        """KCL residual of ``x``, or the largest finite float for
+        iterates the residual cannot be evaluated on.
+
+        Non-finite iterates (diverged Newton steps, singular-system
+        fallbacks) therefore never win the best-residual minimum, which
+        stays finite: the all-zero initial guess of :meth:`_coerce_guess`
+        has a finite residual for any assemblable circuit, and
+        user-supplied guesses are validated shapes of finite floats.
+        """
         if not np.all(np.isfinite(x)):
             return float(np.finfo(float).max)
         try:
@@ -150,23 +139,6 @@ class DcSolver:
         if not np.isfinite(residual):
             return float(np.finfo(float).max)
         return float(residual)
-
-    def package_iterate(self, x: np.ndarray, iterations: int
-                        ) -> OperatingPoint:
-        """Package an externally accepted iterate (health-layer use).
-
-        The health layer's degraded-accept path
-        (:func:`repro.health.solver.solve_with_recovery`) calls this to
-        turn a best-effort iterate carried on a
-        :class:`~repro.errors.ConvergenceError` into a regular
-        :class:`OperatingPoint` with strategy ``"degraded"``.
-        """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.system.size,):
-            raise ValueError(
-                f"iterate has shape {x.shape}, "
-                f"expected ({self.system.size},)")
-        return self._package(x, iterations, "degraded")
 
     # ------------------------------------------------------------------
     def _coerce_guess(self, guess) -> np.ndarray:

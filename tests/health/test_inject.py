@@ -26,16 +26,15 @@ class TestSpecGrammar:
 class TestFiringWindow:
     def test_disabled_injector_never_fires(self):
         injector = FaultInjector(None)
-        assert not injector.enabled
         assert not any(injector.fire("solver") for _ in range(10))
-        assert not injector.exhausted
+        assert injector.fired == 0
 
     def test_fires_exactly_count_after_skip(self):
         injector = FaultInjector("filter:2:3")
         fired = [injector.fire("filter") for _ in range(8)]
         assert fired == [False, False, False, True, True,
                          False, False, False]
-        assert injector.exhausted
+        assert injector.fired == 2
 
     def test_other_kinds_are_not_opportunities(self):
         injector = FaultInjector("solver:1:1")
@@ -51,4 +50,4 @@ class TestFiringWindow:
         # b continues exactly where a stood: one more fire, then dry
         assert b.fire("is-weight")
         assert not b.fire("is-weight")
-        assert b.exhausted
+        assert b.fired == 2

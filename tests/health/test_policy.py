@@ -1,5 +1,7 @@
 """HealthPolicy / HealthConfig surface."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.health import HealthConfig, HealthPolicy
@@ -23,7 +25,7 @@ class TestPolicyCoercion:
     def test_config_coerces_policy_string(self):
         cfg = HealthConfig(policy="recover")
         assert cfg.policy is HealthPolicy.RECOVER
-        assert not cfg.strict and not cfg.permissive
+        assert not cfg.strict
 
     def test_default_is_strict(self):
         cfg = HealthConfig()
@@ -32,19 +34,10 @@ class TestPolicyCoercion:
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("kwargs", [
-        {"solver_retries": -1},
-        {"solver_accept_residual": 0.0},
-        {"stage1_ess_floor": 1.0},
-        {"stage2_ess_floor": -0.1},
-        {"stage1_patience": 0},
-        {"max_reseeds": -1},
-        {"sigma_widen": 1.0},
-        {"weight_clip_factor": 0.99},
-    ])
-    def test_bad_thresholds_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            HealthConfig(**kwargs)
+    def test_only_policy_and_inject_are_settable(self):
+        # the thresholds are monitor constants, not per-run settings
+        assert [f.name for f in fields(HealthConfig)] == ["policy",
+                                                           "inject"]
 
     def test_malformed_inject_spec_fails_fast(self):
         with pytest.raises(ValueError, match="unknown fault kind"):

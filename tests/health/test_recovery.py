@@ -95,6 +95,19 @@ class TestRecoverCompletes:
         assert estimate.health.recovered_count() >= 1
 
 
+class TestPermissiveRunsRecoverPaths:
+    @pytest.mark.parametrize("kind", sorted(FAULTS))
+    def test_same_signature_except_policy(self, kind):
+        recovered = signature(make_estimator(health=recover(kind)).run(
+            target_relative_error=0.2))
+        permissive = signature(make_estimator(
+            health=HealthConfig(policy="permissive", inject=kind)).run(
+            target_relative_error=0.2))
+        assert recovered[3].pop("policy") == "recover"
+        assert permissive[3].pop("policy") == "permissive"
+        assert permissive == recovered
+
+
 class TestStrictRaisesTypedErrors:
     @pytest.mark.parametrize("kind", sorted(FAULTS))
     def test_strict_raises(self, kind):

@@ -295,6 +295,15 @@ class TestRealTree:
         findings = list(FingerprintDriftRule().check_project(model))
         assert any("sneaky" in f.message for f in findings)
 
+    def test_adding_unclassified_healthconfig_field_fails_lint(self):
+        anchor = "    inject: str | None = None\n"
+        assert anchor in (SRC / "repro/health/policy.py").read_text()
+        model = real_tree_model(replace={
+            "health/policy.py": (anchor,
+                                 anchor + "    sneaky: float = 0.0\n")})
+        (finding,) = FingerprintDriftRule().check_project(model)
+        assert "HealthConfig.sneaky" in finding.message
+
     def test_unlocking_a_guarded_read_fails_lint(self):
         cache = (SRC / "repro/perf/cache.py").read_text()
         assert "with self._lock:\n            total = self.hits" in cache

@@ -11,6 +11,9 @@ import json
 import pytest
 
 from repro.analysis.ecc import ArrayConfig
+from repro.core.ecripse import EcripseConfig, EcripseEstimator
+from repro.experiments.setup import paper_setup
+from repro.health import HealthConfig
 from repro.service.spec import JobSpec
 from repro.service.worker import spec_fingerprint
 
@@ -44,6 +47,40 @@ class TestStability:
         # the durable result cache is keyed on these values: a drift
         # makes every result computed before it miss the cache
         assert spec.fingerprint() == pinned
+
+    @pytest.mark.parametrize("spec, pinned", [
+        (JobSpec(health_policy="recover"), "32dd9983fc2758f3"),
+        (JobSpec(kind="array", health_policy="recover"),
+         "64a4632e97667281"),
+        (JobSpec(health_policy="permissive"), "078fc7007f01444f"),
+        (JobSpec(kind="array", health_policy="permissive"),
+         "68b9732b921fa03d"),
+    ], ids=["estimate-recover", "array-recover", "estimate-permissive",
+            "array-permissive"])
+    def test_policy_fingerprints_are_pinned(self, spec, pinned):
+        assert spec.fingerprint() == pinned
+
+    @pytest.mark.parametrize("config, health, pinned", [
+        (EcripseConfig.quick(), {}, "439c7bcd996b4865"),
+        (EcripseConfig.quick(), {"policy": "permissive"},
+         "524293ff1f41a8a9"),
+        (EcripseConfig.quick(), {"policy": "recover",
+                                 "inject": "filter:2:1"},
+         "68dcbeacdb14da7e"),
+        (EcripseConfig.quick(), {"policy": "strict", "inject": "solver"},
+         "318a42b7f2205a5e"),
+        (EcripseConfig(), {}, "5836b10f6acdea12"),
+    ], ids=["quick", "quick-permissive", "quick-recover-filter",
+            "quick-strict-solver", "full"])
+    def test_estimator_fingerprints_are_pinned(self, config, health,
+                                               pinned):
+        # checkpoints are keyed on these values: the health config
+        # enters through a stand-in that must keep its historical repr
+        setup = paper_setup(alpha=0.5)
+        estimator = EcripseEstimator(
+            setup.space, setup.indicator, setup.rtn_model,
+            config=config.with_(health=HealthConfig(**health)), seed=1)
+        assert estimator.fingerprint() == pinned
 
 
 class TestDiscrimination:
