@@ -18,9 +18,17 @@ before/after note for the PR) and asserts bit-identity there too.
 
 The batched-core gate A/Bs the fused ``(2B, G)`` bisection of
 ``solve`` against the two per-side ``solve_side`` solves on raw
-batches, and passes when the fused solve is >= 1.5x faster on wall
-time OR the sweep-level eval reduction holds >= 2x -- outputs
+batches, and passes when the fused solve is >= 1.5x faster on median
+wall time OR the sweep-level eval reduction holds >= 2x -- outputs
 bit-identical in every case.
+
+The row-tile gate labels a 5,000-row prior block and a near-boundary
+block with ``AdaptiveMarginEvaluator`` at the former 4,096-row stride
+and at the default tile, and passes when labels and device-model
+evaluations are equal; both walls and their ratio are recorded.
+
+Repeated timings are reported as the median (``*_median_s``) with the
+lower and upper quartiles (``*_iqr_s``) of their repeats.
 
 Numbers land in root-level ``BENCH_hotpath.json``: the ``latest`` block
 plus an appended ``runs`` trajectory.  ``--quick`` shrinks budgets for
@@ -43,12 +51,15 @@ from pathlib import Path
 import numpy as np
 
 from repro.checkpoint import CheckpointConfig, run_checkpointed
+from repro.core.boundary import find_failure_boundary
 from repro.core.ecripse import EcripseConfig, EcripseEstimator
+from repro.core.indicator import CountingIndicator
 from repro.errors import CheckpointCrash
 from repro.experiments.fig8 import run_fig8
 from repro.experiments.setup import paper_setup
 from repro.perf import PerfConfig, save_registered_caches
 import repro.perf as perf_pkg
+from repro.perf.adaptive import AdaptiveMarginEvaluator
 from repro.perf.report import collect_runs, merge_perf
 from repro.runtime import ExecutionConfig
 from repro.sram.butterfly import ReadButterflySolver
@@ -88,6 +99,23 @@ def same_fig8(a, b) -> bool:
             and a.sweep.alphas == b.sweep.alphas
             and all(same_estimate(ea, eb) for ea, eb
                     in zip(a.sweep.estimates, b.sweep.estimates)))
+
+
+def quartiles(walls: list[float]) -> tuple[float, list[float]]:
+    """Median and ``[lower, upper]`` quartiles of repeated walls [s]."""
+    q1, median, q3 = np.percentile(walls, [25, 50, 75])
+    return float(median), [float(q1), float(q3)]
+
+
+def timed(fn, repeats: int):
+    """``fn()``'s last output with the median and quartiles of its
+    wall time over ``repeats`` calls."""
+    walls = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        out = fn()
+        walls.append(time.perf_counter() - t0)
+    return (out, *quartiles(walls))
 
 
 def sweep_once(scale, perf, checkpoint=None):
@@ -230,7 +258,7 @@ def bench_butterfly(quick: bool) -> dict:
     solver = ReadButterflySolver(SramCell(), grid_points=61)
     rng = np.random.default_rng(SEED)
     delta_vth = rng.normal(scale=0.05, size=(200 if quick else 2000, 6))
-    repeats = 3 if quick else 10
+    repeats = 5 if quick else 10
 
     def legacy_solve_side(side):
         # the pre-PR formulation: fresh np.where allocations per step
@@ -249,22 +277,17 @@ def bench_butterfly(quick: bool) -> dict:
             hi = np.where(above, hi, mid)
         return 0.5 * (lo + hi)
 
-    def time_fn(fn):
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            out = fn()
-            best = min(best, time.perf_counter() - t0)
-        return out, best
-
-    legacy_out, legacy_s = time_fn(lambda: legacy_solve_side(0))
-    current_out, current_s = time_fn(lambda: solver._solve_side(0, delta_vth))
+    legacy_out, legacy_s, legacy_iqr = timed(
+        lambda: legacy_solve_side(0), repeats)
+    current_out, current_s, current_iqr = timed(
+        lambda: solver._solve_side(0, delta_vth), repeats)
     assert np.array_equal(legacy_out, current_out), \
         "in-place bisection is not bit-identical to the np.where loop"
     speedup = legacy_s / current_s
     print(f"  legacy  {legacy_s * 1e3:7.1f} ms")
     print(f"  current {current_s * 1e3:7.1f} ms  ({speedup:.2f}x)")
-    return {"legacy_best_s": legacy_s, "current_best_s": current_s,
+    return {"legacy_median_s": legacy_s, "legacy_iqr_s": legacy_iqr,
+            "current_median_s": current_s, "current_iqr_s": current_iqr,
             "speedup": speedup,
             "note": "in-place buffer reuse vs per-step np.where; "
                     "outputs bit-identical"}
@@ -290,25 +313,18 @@ def bench_batched(quick: bool, sweep: dict) -> dict:
     def per_side(shifts):
         return solver.solve_side(0, shifts), solver.solve_side(1, shifts)
 
-    def time_solve(solve, shifts, repeats):
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            curves = solve(shifts)
-            best = min(best, time.perf_counter() - t0)
-        return curves, best
-
     # the hot-path shape: one sample per solve (adaptive refinement)
     single = rng.normal(scale=0.05, size=(1, 6))
-    _, side_1_s = time_solve(per_side, single, 20 if quick else 50)
-    _, fused_1_s = time_solve(fused, single, 20 if quick else 50)
+    _, side_1_s, side_1_iqr = timed(lambda: per_side(single),
+                                    20 if quick else 50)
+    _, fused_1_s, fused_1_iqr = timed(lambda: fused(single),
+                                      20 if quick else 50)
     raw_speedup = side_1_s / fused_1_s
 
     delta_vth = rng.normal(scale=0.05, size=(512 if quick else 2048, 6))
-    side_curves, side_s = time_solve(per_side, delta_vth,
-                                     3 if quick else 5)
-    fused_curves, fused_s = time_solve(fused, delta_vth,
-                                       3 if quick else 5)
+    side_curves, side_s, side_iqr = timed(lambda: per_side(delta_vth),
+                                          5)
+    fused_curves, fused_s, fused_iqr = timed(lambda: fused(delta_vth), 5)
     assert all(np.array_equal(side, fuse)
                for side, fuse in zip(side_curves, fused_curves)), \
         "fused solve is not bit-identical to the per-side solve"
@@ -320,15 +336,73 @@ def bench_batched(quick: bool, sweep: dict) -> dict:
     assert raw_speedup >= 1.5 or sweep["eval_reduction"] >= 2.0, (
         f"batched gate failed: fused speedup {raw_speedup:.2f}x < 1.5x "
         f"and sweep eval reduction {sweep['eval_reduction']:.2f}x < 2x")
-    return {"single_per_side_best_s": side_1_s,
-            "single_fused_best_s": fused_1_s,
+    return {"single_per_side_median_s": side_1_s,
+            "single_per_side_iqr_s": side_1_iqr,
+            "single_fused_median_s": fused_1_s,
+            "single_fused_iqr_s": fused_1_iqr,
             "single_speedup": raw_speedup,
-            "batch_per_side_best_s": side_s,
-            "batch_fused_best_s": fused_s,
+            "batch_per_side_median_s": side_s,
+            "batch_per_side_iqr_s": side_iqr,
+            "batch_fused_median_s": fused_s,
+            "batch_fused_iqr_s": fused_iqr,
             "batch_speedup": side_s / fused_s,
             "sweep_eval_reduction": sweep["eval_reduction"],
             "note": "fused (2B, G) solve vs solve_side(0) + "
                     "solve_side(1); outputs bit-identical"}
+
+
+def bench_tiles(quick: bool) -> dict:
+    """Gate: the evaluator's row tile changes no label and no work.
+
+    Labels one 5,000-row prior block and one near-boundary block (rows
+    jittered 1 % radially about boundary points, so the refine step
+    runs in every tile) at the former 4,096-row stride and at the
+    default tile, interleaving the repeats.
+    """
+    print("== evaluator row tile: 4096 vs default ==")
+    setup = paper_setup()
+    rng = np.random.default_rng(SEED)
+    boundary = find_failure_boundary(CountingIndicator(setup.indicator),
+                                     500, rng)
+    near = boundary.sample(5000, rng)
+    near *= 1.0 + 0.01 * rng.standard_normal((near.shape[0], 1))
+    blocks = {"prior": rng.standard_normal((5000, 6)),
+              "near_boundary": near}
+    default = setup.evaluator.max_batch
+    repeats = 3 if quick else 7
+    record = {"default_max_batch": default}
+    for name, x in blocks.items():
+        evaluators = {tile: AdaptiveMarginEvaluator(
+            setup.cell, setup.space, max_batch=tile)
+            for tile in (4096, default)}
+        walls = {tile: [] for tile in evaluators}
+        labels = {}
+        for _ in range(repeats):
+            for tile, evaluator in evaluators.items():
+                t0 = time.perf_counter()
+                labels[tile] = evaluator.failure_labels(x, "cell")
+                walls[tile].append(time.perf_counter() - t0)
+        assert np.array_equal(labels[4096], labels[default]), \
+            f"{name}: labels differ between 4096-row and {default}-row tiles"
+        evals = {tile: ev.device_model_evals // repeats
+                 for tile, ev in evaluators.items()}
+        assert evals[4096] == evals[default], \
+            f"{name}: device-model evals differ: {evals}"
+        old_s, old_iqr = quartiles(walls[4096])
+        new_s, new_iqr = quartiles(walls[default])
+        refined = evaluators[default].refined // repeats
+        print(f"  {name:13s} {x.shape[0]} rows  4096: {old_s:6.2f} s  "
+              f"{default}: {new_s:6.2f} s  ({old_s / new_s:.2f}x)  "
+              f"refined {refined}")
+        record[name] = {
+            "rows": x.shape[0],
+            "refined": refined,
+            "device_model_evals": evals[default],
+            "wall_4096_median_s": old_s, "wall_4096_iqr_s": old_iqr,
+            "wall_default_median_s": new_s, "wall_default_iqr_s": new_iqr,
+            "speedup": old_s / new_s,
+        }
+    return record
 
 
 # ----------------------------------------------------------------------
@@ -353,6 +427,7 @@ def main(argv=None) -> int:
         "mode": "quick" if args.quick else "full",
         "sweep": sweep,
         "batched": bench_batched(args.quick, sweep),
+        "tiles": bench_tiles(args.quick),
         "warm_cache": bench_warm_cache(scale),
         "backends": bench_backends(scale),
         "resume": bench_resume(scale),

@@ -94,7 +94,7 @@ class AdaptiveMarginEvaluator(CellEvaluator):
 
     def __init__(self, cell: SramCell, space: VariabilitySpace,
                  vdd: float | None = None, grid_points: int = 61,
-                 margin_levels: int = 64, max_batch: int = 4096,
+                 margin_levels: int = 64, max_batch: int = 512,
                  cache: SolveCache | None = None,
                  coarse_iterations: int = 12, guard_safety: float = 2.0):
         super().__init__(cell, space, vdd=vdd, grid_points=grid_points,

@@ -688,7 +688,18 @@ def _make_handler(daemon: ServiceDaemon) -> type[BaseHTTPRequestHandler]:
             return 400
 
         def _read_body(self) -> object:
-            length = int(self.headers.get("Content-Length", 0))
+            header = self.headers.get("Content-Length", "0")
+            try:
+                length = int(header)
+            except ValueError:
+                length = -1
+            if length < 0:
+                # the body's extent is unknown, so the connection cannot
+                # be reused: answer 400 and close it
+                self.close_connection = True
+                raise ServiceError(
+                    f"invalid Content-Length {header!r}: expected a "
+                    f"non-negative integer")
             raw = self.rfile.read(length) if length else b""
             try:
                 return json.loads(raw or b"{}")

@@ -45,7 +45,11 @@ class CellEvaluator:
     vdd:
         Supply voltage [V]; defaults to the cell's.
     max_batch:
-        Internal chunk size bounding peak memory of the vectorised solve.
+        Rows per vectorised solve.  The solve is row-independent, so the
+        stride changes no result, only the working set: a fused
+        ``(2 * max_batch, grid_points)`` bisection keeps about 14 live
+        float64 buffers, ~7 MiB at the default 512 rows against ~54 MiB
+        at 4096, which runs faster because it stays nearer the cache.
     cache:
         Optional :class:`~repro.perf.cache.SolveCache`; solved margins
         are memoised per exact ΔVth byte pattern, and hits return the
@@ -54,7 +58,7 @@ class CellEvaluator:
 
     def __init__(self, cell: SramCell, space: VariabilitySpace,
                  vdd: float | None = None, grid_points: int = 61,
-                 margin_levels: int = 64, max_batch: int = 4096,
+                 margin_levels: int = 64, max_batch: int = 512,
                  cache: "SolveCache | None" = None):
         if space.dim != 6:
             raise ValueError(

@@ -41,7 +41,7 @@ def batched_interp(x: np.ndarray, y: np.ndarray, xq: np.ndarray) -> np.ndarray:
     y:
         Sample ordinates, shape (B, G).
     xq:
-        Query abscissae, shape (K,) shared across rows or (B, K) per row.
+        Query abscissae, shape (K,), shared across rows, in any order.
 
     Returns
     -------
@@ -54,15 +54,24 @@ def batched_interp(x: np.ndarray, y: np.ndarray, xq: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"x and y must both be (B, G), got {x.shape} and {y.shape}")
     xq = np.asarray(xq, dtype=float)
-    if xq.ndim == 1:
-        xq = np.broadcast_to(xq, (x.shape[0], xq.size))
-    if xq.ndim != 2 or xq.shape[0] != x.shape[0]:
-        raise ValueError(
-            f"xq must be (K,) or (B, K), got {xq.shape} for B={x.shape[0]}")
+    if xq.ndim != 1:
+        raise ValueError(f"xq must be (K,), got {xq.shape}")
 
-    # Count samples <= query -> right-bracket index in [1, G-1].
-    idx = np.sum(x[:, :, None] <= xq[:, None, :], axis=1)
-    idx = np.clip(idx, 1, x.shape[1] - 1)
+    # Count samples <= query -> right-bracket index in [1, G-1].  A
+    # sample counts for every sorted query at or after its searchsorted
+    # position, so a per-row histogram of those positions, accumulated,
+    # is the count: the same integers as comparing all (B, G, K) pairs,
+    # without the (B, G, K) temporary.
+    batch, points = x.shape
+    order = np.argsort(xq, kind="stable")
+    bins = xq.size + 1
+    pos = np.searchsorted(xq[order], x, side="left")
+    pos += np.arange(batch)[:, None] * bins
+    counts = np.bincount(pos.ravel(), minlength=batch * bins)
+    counts = np.cumsum(counts.reshape(batch, bins), axis=1)
+    idx = np.empty((batch, xq.size), dtype=counts.dtype)
+    idx[:, order] = counts[:, :-1]
+    idx = np.clip(idx, 1, points - 1)
     x0 = np.take_along_axis(x, idx - 1, axis=1)
     x1 = np.take_along_axis(x, idx, axis=1)
     y0 = np.take_along_axis(y, idx - 1, axis=1)

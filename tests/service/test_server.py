@@ -1,7 +1,10 @@
 """Daemon behaviour: state machine under real jobs, HTTP surface."""
 
+import json
+import socket
 import threading
 import time
+from urllib.parse import urlparse
 
 import pytest
 
@@ -327,6 +330,27 @@ class TestHttpSurface:
         daemon, client = live
         with pytest.raises(ServiceError, match=r"\(404\)"):
             client._request("GET", "/nope")
+
+    def test_bad_content_length_is_400_and_closes(self, live):
+        """A non-integer or negative Content-Length gets a typed JSON 400
+        and a closed connection: no dropped socket, no handler blocked
+        on an unbounded body read."""
+        daemon, client = live
+        url = urlparse(client.base_url)
+        for length in ("abc", "-1"):
+            with socket.create_connection((url.hostname, url.port),
+                                          timeout=5.0) as sock:
+                sock.sendall(f"POST /jobs HTTP/1.1\r\n"
+                             f"Host: {url.netloc}\r\n"
+                             f"Content-Length: {length}\r\n\r\n"
+                             .encode())
+                response = b""
+                while chunk := sock.recv(4096):
+                    response += chunk
+            head, _, body = response.partition(b"\r\n\r\n")
+            assert head.split()[1] == b"400", response
+            assert "Content-Length" in json.loads(body)["error"]
+        assert client.healthz()["status"] == "ok"
 
     def test_bad_since_is_400(self, live):
         daemon, client = live

@@ -13,14 +13,6 @@ from repro.variability.space import VariabilitySpace
 
 
 class TestFastEvaluator:
-    def test_chunking_matches_single_batch(self, paper_cell, paper_space, rng):
-        small = CellEvaluator(paper_cell, paper_space, max_batch=3,
-                              grid_points=41)
-        large = CellEvaluator(paper_cell, paper_space, max_batch=1000,
-                              grid_points=41)
-        x = rng.normal(size=(10, 6))
-        assert np.allclose(small.cell_margin(x), large.cell_margin(x))
-
     def test_wrong_dim_space_rejected(self, paper_cell):
         with pytest.raises(ValueError, match="6-D"):
             CellEvaluator(paper_cell, VariabilitySpace(np.ones(3)))

@@ -14,6 +14,69 @@ from repro.sram.margins import (
 )
 
 
+def counting_interp(x, y, xq):
+    """``batched_interp`` with its former (B, G, K) compare-and-count
+    bracket index, kept as the bit-exact reference."""
+    idx = np.sum(x[:, :, None] <= xq[None, None, :], axis=1)
+    idx = np.clip(idx, 1, x.shape[1] - 1)
+    x0 = np.take_along_axis(x, idx - 1, axis=1)
+    x1 = np.take_along_axis(x, idx, axis=1)
+    y0 = np.take_along_axis(y, idx - 1, axis=1)
+    y1 = np.take_along_axis(y, idx, axis=1)
+    span = x1 - x0
+    t = np.where(span > 0, (xq - x0) / np.where(span > 0, span, 1.0), 0.0)
+    t = np.clip(t, 0.0, 1.0)
+    return y0 + t * (y1 - y0)
+
+
+@st.composite
+def interp_inputs(draw):
+    """(B >= 2, G) sorted samples with ties, plus unsorted, repeated
+    queries drawn from the abscissae, just past both ends and between."""
+    batch = draw(st.integers(2, 5))
+    points = draw(st.integers(2, 10))
+    value = st.one_of(st.floats(-10.0, 10.0),
+                      st.integers(-4, 4).map(float))
+    size = batch * points
+    x = np.sort(np.array(draw(st.lists(value, min_size=size,
+                                       max_size=size))).reshape(
+        batch, points), axis=1)
+    y = np.array(draw(st.lists(value, min_size=size, max_size=size)))
+    pool = [*x.ravel().tolist(), x.min() - 1.0, x.max() + 1.0]
+    xq = draw(st.lists(st.one_of(st.sampled_from(pool),
+                                 st.floats(-20.0, 20.0)),
+                       min_size=1, max_size=16))
+    return x, y.reshape(batch, points), np.array(xq)
+
+
+class TestBracketIndexExactness:
+    @given(interp_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_counting_reference_bit_for_bit(self, inputs):
+        x, y, xq = inputs
+        assert np.array_equal(batched_interp(x, y, xq),
+                              counting_interp(x, y, xq))
+
+    @pytest.mark.parametrize("depth", [12, 40])
+    def test_lobe_margins_match_counting_reference(self, paper_cell,
+                                                   monkeypatch, depth):
+        from repro.sram import margins
+        from repro.sram.butterfly import ReadButterflySolver
+
+        solver = ReadButterflySolver(paper_cell,
+                                     bisection_iterations=depth)
+        rng = np.random.default_rng(depth)
+        shifts = np.vstack([rng.normal(scale=0.03, size=(200, 6)),
+                            rng.normal(scale=0.1, size=(200, 6))])
+        curves = solver.solve(shifts)
+        got = lobe_margins(curves, 64)
+        monkeypatch.setattr(margins, "batched_interp", counting_interp)
+        want = lobe_margins(curves, 64)
+        assert (want[0] < 0).any() and (want[0] > 0).any()
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
 def ideal_inverter_curves(vdd=1.0, trip=0.5, points=601, low=0.0):
     """Sharp (step-like) inverter VTCs with known SNM = min(trip, vdd-trip)
     for a symmetric pair."""
@@ -42,14 +105,6 @@ class TestBatchedInterp:
         out = batched_interp(x, y, np.array([-5.0, 5.0]))
         assert out[0, 0] == 10.0
         assert out[0, 1] == 20.0
-
-    def test_per_row_queries(self):
-        x = np.array([[0.0, 1.0], [0.0, 2.0]])
-        y = np.array([[0.0, 1.0], [0.0, 2.0]])
-        xq = np.array([[0.5], [1.0]])
-        out = batched_interp(x, y, xq)
-        assert out[0, 0] == pytest.approx(0.5)
-        assert out[1, 0] == pytest.approx(1.0)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="B, G"):
