@@ -50,8 +50,12 @@ from repro.core import (
 from repro.experiments.setup import ExperimentSetup, paper_setup
 from repro.rtn import RtnModel, ZeroRtnModel
 from repro.runtime import ExecutionConfig, Executor, RunMetrics
+from repro.runtime.blas import pin_blas_threads
 from repro.sram import CellEvaluator, SramCell
 from repro.variability import VariabilitySpace
+
+# After the imports above, numpy's and scipy's OpenBLAS are both loaded.
+pin_blas_threads()
 
 __version__ = "1.0.0"
 

@@ -27,6 +27,12 @@ from repro.ml.scaler import StandardScaler
 from repro.ml.svm import LinearSvm
 from repro.rng import as_generator, rng_from_state, rng_state
 
+#: rows per :meth:`ClassifierBlockade.predict` tile: a (512, 210)
+#: degree-4 feature block stays in the per-core L2 cache.  A multiple of
+#: the gemv kernel's row block, so every decision is bit for bit what
+#: one whole-batch product gives.
+PREDICT_TILE = 512
+
 
 @dataclass
 class BlockadePrediction:
@@ -228,8 +234,17 @@ class ClassifierBlockade:
         if not self.is_trained:
             raise ClassifierError("blockade used before training")
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        phi = self.scaler.transform(self.features.transform(x))
-        decision = self.svm.decision_function(phi)
+        n = x.shape[0]
+        starts = list(range(0, n, PREDICT_TILE))
+        if n > 1 and n % PREDICT_TILE == 1:
+            # numpy takes a 1-row product through a dot kernel that
+            # rounds differently from gemv: the lone last row joins the
+            # tile before it
+            starts.pop()
+        decision = np.empty(n)
+        for lo, hi in zip(starts, starts[1:] + [n]):
+            phi = self.scaler.transform(self.features.transform(x[lo:hi]))
+            decision[lo:hi] = self.svm.decision_function(phi)
         labels = decision >= 0.0
         uncertain = np.abs(decision) < self.band_halfwidth
 

@@ -59,6 +59,10 @@ from repro.service.store import JobStore
 #: how often blocked waits re-check the shutdown flag [s].
 _POLL_S = 0.2
 
+#: largest request body accepted [bytes] (a JobSpec is under 1 kB); a
+#: larger ``Content-Length`` is refused with 413 before any read.
+MAX_BODY_BYTES = 1 << 20
+
 
 class _LostRace(Exception):
     """Internal: a worker-side update found the record already settled
@@ -685,6 +689,8 @@ def _make_handler(daemon: ServiceDaemon) -> type[BaseHTTPRequestHandler]:
                 # the job exists but is in the wrong state for the
                 # requested action (e.g. requeue of a running job)
                 return 409
+            if "too large" in text:
+                return 413
             return 400
 
         def _read_body(self) -> object:
@@ -700,6 +706,12 @@ def _make_handler(daemon: ServiceDaemon) -> type[BaseHTTPRequestHandler]:
                 raise ServiceError(
                     f"invalid Content-Length {header!r}: expected a "
                     f"non-negative integer")
+            if length > MAX_BODY_BYTES:
+                # the unread body stays in the socket: close it too
+                self.close_connection = True
+                raise ServiceError(
+                    f"request body too large: Content-Length {length} "
+                    f"exceeds the {MAX_BODY_BYTES}-byte cap")
             raw = self.rfile.read(length) if length else b""
             try:
                 return json.loads(raw or b"{}")

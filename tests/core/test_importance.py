@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from repro.core.importance import (
+    LOG_PDF_TILE,
     DefensiveMixture,
     GaussianMixture,
     effective_sample_size,
@@ -21,6 +24,16 @@ def reference_log_pdf(mixture, x):
         densities += multivariate_normal(
             mean=mean, cov=np.diag(mixture.sigma ** 2)).pdf(x)
     return np.log(densities / mixture.n_kernels)
+
+
+def whole_batch_log_pdf(mixture, x):
+    """``log_pdf`` in one (B, K, D) block, as before row tiling: the
+    bit-exact reference."""
+    diff = (x[:, None, :] - mixture.means[None, :, :]) / mixture.sigma
+    sq = np.einsum("bkd,bkd->bk", diff, diff)
+    log_k = mixture._log_norm - 0.5 * sq
+    peak = log_k.max(axis=1)
+    return peak + np.log(np.mean(np.exp(log_k - peak[:, None]), axis=1))
 
 
 class TestGaussianMixture:
@@ -67,6 +80,25 @@ class TestGaussianMixture:
             mixture.log_pdf(np.zeros((1, 3)))
         with pytest.raises(ValueError):
             mixture.sample(-1, np.random.default_rng(0))
+
+
+class TestLogPdfTiles:
+    @pytest.mark.parametrize("n", [1, LOG_PDF_TILE - 1, LOG_PDF_TILE,
+                                   LOG_PDF_TILE + 1, 6000])
+    @given(kernels=st.integers(1, 120), cut=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    def test_tiles_and_splits_match_whole_batch(self, n, kernels, cut,
+                                                seed):
+        rng = np.random.default_rng(seed)
+        mixture = GaussianMixture(rng.normal(scale=3.0, size=(kernels, 6)),
+                                  rng.uniform(0.2, 1.5, size=6))
+        x = rng.normal(scale=4.0, size=(n, 6))
+        full = mixture.log_pdf(x)
+        assert np.array_equal(full, whole_batch_log_pdf(mixture, x))
+        cut = round(cut * n)
+        assert np.array_equal(full, np.concatenate(
+            [mixture.log_pdf(x[:cut]), mixture.log_pdf(x[cut:])]))
 
 
 class TestDefensiveMixture:

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ClassifierError
-from repro.ml.blockade import ClassifierBlockade
+from repro.ml.blockade import PREDICT_TILE, ClassifierBlockade
 
 
 def ring_labels(x):
@@ -18,6 +20,23 @@ def trained(rng):
     x = rng.normal(scale=2.0, size=(800, 2))
     blockade.train(x, ring_labels(x))
     return blockade
+
+
+@pytest.fixture(scope="module")
+def cell_shaped():
+    """Degree 4 over 6 inputs: the estimator's 210 features."""
+    rng = np.random.default_rng(7)
+    blockade = ClassifierBlockade(dim=6, degree=4)
+    x = rng.normal(scale=2.0, size=(600, 6))
+    blockade.train(x, np.abs(x[:, 0]) > 2.5)
+    return blockade
+
+
+def whole_batch_decision(blockade, x):
+    """``predict``'s decision as one product, as before row tiling: the
+    bit-exact reference."""
+    phi = blockade.scaler.transform(blockade.features.transform(x))
+    return blockade.svm.decision_function(phi)
 
 
 class TestTraining:
@@ -105,3 +124,19 @@ class TestIncremental:
         samples = trained.n_training_samples
         trained.update(np.zeros((0, 2)), np.zeros(0, dtype=bool))
         assert trained.n_training_samples == samples
+
+
+class TestPredictTiles:
+    """Row splits that break the gemv kernel's row blocks round
+    differently, so the tiles are checked against one whole-batch
+    product rather than against arbitrary splits."""
+
+    @pytest.mark.parametrize("n", [1, 2, PREDICT_TILE - 1, PREDICT_TILE,
+                                   PREDICT_TILE + 1, 2 * PREDICT_TILE + 1,
+                                   6000])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    def test_tiles_match_whole_batch(self, cell_shaped, n, seed):
+        x = np.random.default_rng(seed).normal(scale=2.0, size=(n, 6))
+        assert np.array_equal(cell_shaped.predict(x).decision,
+                              whole_batch_decision(cell_shaped, x))

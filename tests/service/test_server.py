@@ -12,7 +12,11 @@ from repro.errors import ServiceError, ShutdownRequested
 from repro.service.client import RetryPolicy, ServiceClient
 from repro.service.model import JobState
 from repro.service.scheduler import QuotaPolicy
-from repro.service.server import ServeConfig, ServiceDaemon
+from repro.service.server import (
+    MAX_BODY_BYTES,
+    ServeConfig,
+    ServiceDaemon,
+)
 from repro.service.spec import JobSpec
 from repro.service.worker import execute_job
 
@@ -331,25 +335,43 @@ class TestHttpSurface:
         with pytest.raises(ServiceError, match=r"\(404\)"):
             client._request("GET", "/nope")
 
+    @staticmethod
+    def post_headers_only(client, length: str) -> tuple[bytes, dict]:
+        """``POST /jobs`` announcing ``length`` body bytes and sending
+        none; reads to EOF (a 5 s timeout fails the test if the handler
+        waits for the body or keeps the connection open)."""
+        url = urlparse(client.base_url)
+        with socket.create_connection((url.hostname, url.port),
+                                      timeout=5.0) as sock:
+            sock.sendall(f"POST /jobs HTTP/1.1\r\n"
+                         f"Host: {url.netloc}\r\n"
+                         f"Content-Length: {length}\r\n\r\n".encode())
+            response = b""
+            while chunk := sock.recv(4096):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        return head.split()[1], json.loads(body)
+
     def test_bad_content_length_is_400_and_closes(self, live):
         """A non-integer or negative Content-Length gets a typed JSON 400
         and a closed connection: no dropped socket, no handler blocked
         on an unbounded body read."""
         daemon, client = live
-        url = urlparse(client.base_url)
         for length in ("abc", "-1"):
-            with socket.create_connection((url.hostname, url.port),
-                                          timeout=5.0) as sock:
-                sock.sendall(f"POST /jobs HTTP/1.1\r\n"
-                             f"Host: {url.netloc}\r\n"
-                             f"Content-Length: {length}\r\n\r\n"
-                             .encode())
-                response = b""
-                while chunk := sock.recv(4096):
-                    response += chunk
-            head, _, body = response.partition(b"\r\n\r\n")
-            assert head.split()[1] == b"400", response
-            assert "Content-Length" in json.loads(body)["error"]
+            status, body = self.post_headers_only(client, length)
+            assert status == b"400", body
+            assert "Content-Length" in body["error"]
+        assert client.healthz()["status"] == "ok"
+
+    def test_oversized_body_is_413_and_closes(self, live):
+        """A Content-Length over the cap is refused before any read:
+        a typed JSON 413 and a closed connection, not a ``MemoryError``
+        in ``rfile.read`` or a handler waiting for 1 MiB."""
+        daemon, client = live
+        for length in (MAX_BODY_BYTES + 1, 10_000_000_000_000):
+            status, body = self.post_headers_only(client, str(length))
+            assert status == b"413", body
+            assert "too large" in body["error"]
         assert client.healthz()["status"] == "ok"
 
     def test_bad_since_is_400(self, live):
