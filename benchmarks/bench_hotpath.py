@@ -27,6 +27,11 @@ block with ``AdaptiveMarginEvaluator`` at the former 4,096-row stride
 and at the default tile, and passes when labels and device-model
 evaluations are equal; both walls and their ratio are recorded.
 
+The start-up record runs fresh interpreters and reports ``import
+repro``'s wall time and VmRSS, and the deferred scipy.optimize import
+the first SVM fit pays; it also times ``analyze_array``.  It passes when
+no interpreter has a scipy module loaded after ``import repro``.
+
 Repeated timings are reported as the median (``*_median_s``) with the
 lower and upper quartiles (``*_iqr_s``) of their repeats.
 
@@ -44,12 +49,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
+import repro
+from repro.analysis.ecc import ArrayConfig, analyze_array
 from repro.checkpoint import CheckpointConfig, run_checkpointed
 from repro.core.boundary import find_failure_boundary
 from repro.core.ecripse import EcripseConfig, EcripseEstimator
@@ -82,6 +92,30 @@ FULL = {
                             max_statistical_samples=400_000),
 }
 SEED = 2015
+
+#: one fresh interpreter's start-up: ``import repro`` (wall, VmRSS and
+#: the scipy modules it loaded), then two SVM fits -- the first one
+#: also imports scipy.optimize and pins its OpenBLAS
+STARTUP_PROBE = """
+import json, sys, time
+t0 = time.perf_counter()
+import repro
+import_s = time.perf_counter() - t0
+rss_kb = next(int(line.split()[1]) for line in open("/proc/self/status")
+              if line.startswith("VmRSS:"))
+scipy = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+import numpy as np
+from repro.ml.svm import LinearSvm
+x = np.random.default_rng(0).standard_normal((40, 3))
+y = np.where(x[:, 0] > 0.0, 1.0, -1.0)
+fits = []
+for _ in range(2):
+    t0 = time.perf_counter()
+    LinearSvm().fit(x, y)
+    fits.append(time.perf_counter() - t0)
+print(json.dumps({"import_s": import_s, "rss_mb": rss_kb / 1024,
+                  "scipy": scipy, "deferred_s": fits[0] - fits[1]}))
+"""
 
 
 # ----------------------------------------------------------------------
@@ -405,6 +439,47 @@ def bench_tiles(quick: bool) -> dict:
     return record
 
 
+def bench_startup(quick: bool) -> dict:
+    """Gate: ``import repro`` loads no scipy module.
+
+    Times start-up in fresh interpreters, as every CLI call, pool
+    worker and service daemon pays it, and ``analyze_array`` on the
+    default config (272 binomial tails) in this process.
+    """
+    print("== start-up: fresh-interpreter import repro ==")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probes = [json.loads(subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE], env=env, check=True,
+        capture_output=True, text=True, timeout=120).stdout)
+        for _ in range(7 if quick else 15)]
+    loaded = sorted({m for probe in probes for m in probe["scipy"]})
+    assert not loaded, f"import repro loaded scipy modules: {loaded}"
+    import_s, import_iqr = quartiles([p["import_s"] for p in probes])
+    rss_mb, rss_iqr = quartiles([p["rss_mb"] for p in probes])
+    deferred_s, deferred_iqr = quartiles([p["deferred_s"] for p in probes])
+
+    analyze_array(ArrayConfig(), 1e-9)  # scipy.special, loaded once
+    _, array_s, array_iqr = timed(
+        lambda: analyze_array(ArrayConfig(), 1e-9), 20 if quick else 50)
+    print(f"  import repro  {import_s:6.3f} s  {rss_mb:6.1f} MB VmRSS  "
+          f"({len(probes)} interpreters, no scipy)")
+    print(f"  first fit's deferred scipy.optimize import "
+          f"{deferred_s:6.3f} s")
+    print(f"  analyze_array {array_s * 1e3:6.2f} ms")
+    return {"interpreters": len(probes),
+            "import_median_s": import_s, "import_iqr_s": import_iqr,
+            "import_rss_median_mb": rss_mb, "import_rss_iqr_mb": rss_iqr,
+            "first_fit_deferred_median_s": deferred_s,
+            "first_fit_deferred_iqr_s": deferred_iqr,
+            "analyze_array_median_s": array_s,
+            "analyze_array_iqr_s": array_iqr,
+            "scipy_modules_after_import": loaded,
+            "note": "import repro in fresh interpreters; deferred = "
+                    "first LinearSvm.fit minus the second"}
+
+
 # ----------------------------------------------------------------------
 def save_record(record: dict) -> None:
     data = (json.loads(JSON_PATH.read_text()) if JSON_PATH.exists()
@@ -422,9 +497,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     scale = QUICK if args.quick else FULL
 
+    startup = bench_startup(args.quick)
     sweep = bench_sweep(scale)
     record = {
         "mode": "quick" if args.quick else "full",
+        "startup": startup,
         "sweep": sweep,
         "batched": bench_batched(args.quick, sweep),
         "tiles": bench_tiles(args.quick),

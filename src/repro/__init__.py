@@ -54,7 +54,8 @@ from repro.runtime.blas import pin_blas_threads
 from repro.sram import CellEvaluator, SramCell
 from repro.variability import VariabilitySpace
 
-# After the imports above, numpy's and scipy's OpenBLAS are both loaded.
+# The imports above load numpy's OpenBLAS but no scipy module; scipy's
+# copy is pinned when repro first uses scipy (blas.import_pinned).
 pin_blas_threads()
 
 __version__ = "1.0.0"

@@ -22,9 +22,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import poisson
 
 from repro.analysis.ecc import log1mexp, log_binom_sf
+from repro.runtime.blas import import_pinned
 
 
 def _check_probability(p: float) -> float:
@@ -194,8 +194,16 @@ def expected_failures(cell_pfail: float, n_cells: int) -> float:
 
 def failures_quantile(cell_pfail: float, n_cells: int,
                       quantile: float = 0.99) -> int:
-    """Upper quantile of the failing-cell count (Poisson approximation)."""
+    """Upper quantile of the failing-cell count (Poisson approximation),
+    at most ``n_cells``."""
     if not 0.0 < quantile < 1.0:
         raise ValueError("quantile must lie in (0, 1)")
     mean = expected_failures(cell_pfail, n_cells)
-    return int(poisson.ppf(quantile, mean))
+    special = import_pinned("scipy.special")
+    # scipy.stats.poisson.ppf's rule: invert the CDF, then step back
+    # one count where the inversion overshot
+    count = math.ceil(special.pdtrik(quantile, mean))
+    below = max(count - 1, 0)
+    if special.pdtr(below, mean) >= quantile:
+        count = below
+    return min(count, n_cells)

@@ -40,10 +40,9 @@ import math
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import binom
 
 from repro.analysis.tables import format_table
+from repro.runtime.blas import import_pinned
 
 SCHEMA_VERSION = 1
 
@@ -99,6 +98,7 @@ def log1mexp(x: float) -> float:
 
 
 def _log_binom_pmf(j: int, n: int, log_p: float, log_q: float) -> float:
+    gammaln = import_pinned("scipy.special").gammaln
     coeff = gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1)
     return float(coeff + j * log_p + (n - j) * log_q)
 
@@ -106,8 +106,10 @@ def _log_binom_pmf(j: int, n: int, log_p: float, log_q: float) -> float:
 def log_binom_sf(k: int, n: int, p: float) -> float:
     """``log P(Binomial(n, p) > k)``, stable down to ~1e-300.
 
-    Delegates to scipy's linear-space survival function while it still
-    has a mantissa, then switches to an incremental log-space series:
+    Evaluates the linear-space survival function ``I_p(k + 1, n - k)``
+    (the regularized incomplete beta behind ``scipy.stats.binom.sf``,
+    same bits without its per-call wrapper) while it still has a
+    mantissa, then switches to an incremental log-space series:
     in the deep tail the mode ``n*p`` is far below ``k + 1``, so the
     pmf terms decay geometrically and the sum converges in a handful
     of terms.
@@ -126,7 +128,8 @@ def log_binom_sf(k: int, n: int, p: float) -> float:
         return -math.inf
     if p == 1.0:  # repro: allow-float-eq
         return 0.0
-    linear = float(binom.sf(k, n, p))
+    special = import_pinned("scipy.special")
+    linear = float(special.betainc(k + 1, n - k, p))
     if linear > _LINEAR_SF_FLOOR:
         return math.log(linear)
     log_p = math.log(p)

@@ -26,9 +26,9 @@ Two properties matter for this package:
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.errors import ClassifierError
+from repro.runtime.blas import import_pinned
 
 
 class LinearSvm:
@@ -102,6 +102,7 @@ class LinearSvm:
             grad = w - x.T @ (2.0 * costs * active * y)
             return value, grad
 
+        minimize = import_pinned("scipy.optimize").minimize
         result = minimize(objective, w0, jac=True, method="L-BFGS-B",
                           options={"maxiter": self.max_iterations,
                                    "gtol": self.tolerance})

@@ -7,8 +7,9 @@ child generators), bounded retries with serial fallback, and per-chunk
 :class:`RunMetrics` telemetry.  This is the seam the estimator hot paths
 (:class:`~repro.core.ecripse.EcripseEstimator`'s simulation batches and
 :class:`~repro.core.naive.NaiveMonteCarlo`'s chunks) execute through.
-:mod:`repro.runtime.blas` pins OpenBLAS to one thread at ``import
-repro``, so these backends are the package's only parallelism.
+:mod:`repro.runtime.blas` pins OpenBLAS to one thread (numpy's at
+``import repro``, scipy's at its first use), so these backends are the
+package's only parallelism.
 """
 
 from __future__ import annotations

@@ -11,12 +11,20 @@ numpy and scipy each bundle their own OpenBLAS, so every copy the
 process has mapped is pinned.  Neither exposes a setter, so the
 libraries are found in ``/proc/self/maps`` and set through ctypes.
 Without that file (not Linux) nothing is pinned.
+
+``import repro`` pins numpy's copy.  scipy costs over a second to
+import, so the package loads it only where it is used, through
+:func:`import_pinned`, which pins again once the module (and with it
+scipy's OpenBLAS) is mapped.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
+import importlib
 import os
+from types import ModuleType
 
 #: thread-count setters, one per build: numpy's wheel (64-bit ints),
 #: scipy's wheel, and older or system builds.
@@ -47,3 +55,16 @@ def pin_blas_threads() -> None:
                 setter.restype = None
                 setter(1)
                 break
+
+
+@functools.cache
+def import_pinned(name: str) -> ModuleType:
+    """Module ``name``, imported on first use with every OpenBLAS then
+    mapped pinned to one thread.
+
+    The pin runs once per module and process, before the caller's first
+    call into it.  A forked worker inherits both the cache and the pin.
+    """
+    module = importlib.import_module(name)
+    pin_blas_threads()
+    return module

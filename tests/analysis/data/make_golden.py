@@ -5,7 +5,7 @@
 Ground truth for the log-space stability regression tests, computed by
 an *independent* method: linear-space binomial arithmetic under
 ``decimal`` with 100 significant digits (no logs, no scipy, no numpy).
-The library path (scipy ``binom.sf`` + gammaln series + log1p/expm1)
+The library path (scipy ``betainc`` + gammaln series + log1p/expm1)
 shares no code with this, so agreement at 1e-9 relative tolerance is a
 genuine cross-check, not a tautology.
 

@@ -126,6 +126,11 @@ class TestCounts:
         q99 = failures_quantile(1e-6, 10**7, 0.99)
         assert q99 >= q50
 
+    def test_quantile_never_exceeds_the_cell_count(self):
+        # the Poisson quantile alone has no upper limit: 18 of 10 cells
+        assert failures_quantile(1.0, 10) == 10
+        assert failures_quantile(0.5, 1, 0.999) == 1
+
     def test_validation(self):
         with pytest.raises(ValueError):
             failures_quantile(1e-6, 100, 1.5)
