@@ -9,7 +9,7 @@ asserts the acceptance criteria:
 * the accelerated sweep performs >= 2x fewer device-model evaluations;
 * a warm on-disk cache (``--solve-cache``) replays the same-seed sweep
   with > 50% hit rate, still bit-identical;
-* thread/process backends and a kill+resume cycle reproduce the serial
+* the process backend and a kill+resume cycle reproduce the serial
   result exactly.
 
 Also micro-benchmarks the butterfly solver's in-place bisection against
@@ -71,7 +71,7 @@ from repro.perf import PerfConfig, save_registered_caches
 import repro.perf as perf_pkg
 from repro.perf.adaptive import AdaptiveMarginEvaluator
 from repro.perf.report import collect_runs, merge_perf
-from repro.runtime import ExecutionConfig
+from repro.runtime import BACKENDS, ExecutionConfig
 from repro.sram.butterfly import ReadButterflySolver
 from repro.sram.cell import SramCell
 
@@ -223,7 +223,7 @@ def bench_backends(scale) -> dict:
     print("== backend bit-identity (accelerated) ==")
     rows = {}
     results = {}
-    for backend in ("serial", "thread", "process"):
+    for backend in BACKENDS:
         setup = paper_setup(alpha=0.3, perf=PerfConfig())
         config = scale["config"].with_(execution=ExecutionConfig(
             backend=backend, workers=2))
@@ -241,7 +241,6 @@ def bench_backends(scale) -> dict:
         }
         print(f"  {backend:8s} pfail {results[backend].pfail:.4e}  "
               f"{rows[backend]['wall_time_s']:6.1f} s")
-    assert same_estimate(results["serial"], results["thread"])
     assert same_estimate(results["serial"], results["process"])
     return rows
 

@@ -1,11 +1,9 @@
 """Benchmark the repro.runtime execution engine.
 
-Compares the ``serial``, ``thread`` and ``process`` backends on the two
-workloads the runtime serves -- a naive-MC sample block and one full
-ECRIPSE estimate -- on the paper's 0.5 V cell.  The butterfly solve is
-the unit of work; it runs in NumPy kernels that release the GIL, so
-both pooled backends can scale it (docs/TUNING.md has the measured
-trade-off).
+Compares the ``serial`` and ``process`` backends on the two workloads
+the runtime serves -- a naive-MC sample block and one full ECRIPSE
+estimate -- on the paper's 0.5 V cell.  The butterfly solve is the unit
+of work (docs/TUNING.md has the measured trade-off).
 
 Estimates must be bit-identical across backends (the runtime's core
 contract); the >=2x process-backend speedup is asserted only when the
@@ -33,9 +31,8 @@ from conftest import FULL
 from repro.core.naive import NaiveMonteCarlo
 from repro.experiments.setup import paper_setup
 from repro.core.ecripse import EcripseEstimator
-from repro.runtime import ExecutionConfig
+from repro.runtime import BACKENDS, ExecutionConfig
 
-BACKENDS = ("serial", "thread", "process")
 WORKERS = 4
 JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_runtime.json"
 
@@ -93,7 +90,6 @@ def test_naive_mc_backends():
     _report("naive-mc", rows)
 
     # the determinism contract: every backend, the exact same estimate
-    assert rows["thread"]["pfail"] == rows["serial"]["pfail"]
     assert rows["process"]["pfail"] == rows["serial"]["pfail"]
     assert len({r["n_simulations"] for r in rows.values()}) == 1
     # worker counter deltas ride back with each chunk, so the perf
@@ -128,7 +124,6 @@ def test_ecripse_backends(bench_scale):
         }
     _report("ecripse", rows)
 
-    assert rows["thread"]["pfail"] == rows["serial"]["pfail"]
     assert rows["process"]["pfail"] == rows["serial"]["pfail"]
     assert len({r["n_simulations"] for r in rows.values()}) == 1
     assert rows["serial"]["device_model_evals"] > 0

@@ -21,7 +21,7 @@ Packages:
 * :mod:`repro.rtn` -- RTN trap statistics and samplers;
 * :mod:`repro.ml` -- polynomial-feature linear SVM and blockade;
 * :mod:`repro.core` -- the estimators (ECRIPSE + baselines);
-* :mod:`repro.runtime` -- parallel execution engine (serial/thread/process);
+* :mod:`repro.runtime` -- parallel execution engine (serial/process);
 * :mod:`repro.analysis` -- convergence/speedup analysis, tables;
 * :mod:`repro.experiments` -- the paper's figures as runnable harnesses.
 """

@@ -38,11 +38,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.analysis.tables import format_table
 from repro.runtime.blas import import_pinned
+
+if TYPE_CHECKING:
+    from repro.core.estimate import FailureEstimate
 
 SCHEMA_VERSION = 1
 
@@ -817,3 +821,20 @@ def analyze_array(config: ArrayConfig, cell_pfail: float,
         schemes=results,
         decision=decision,
     )
+
+
+def attach_array_report(config: ArrayConfig,
+                        estimate: "FailureEstimate") -> ArrayReport:
+    """:func:`analyze_array` on a finished estimator run.
+
+    Robustness is judged at the CI upper bound ``pfail +
+    ci_halfwidth``; both ends are clamped to 0.5, the largest cell
+    pfail the chain accepts.  The report also rides on
+    ``estimate.metadata["array"]``, so a cached estimate serves the
+    full decision.
+    """
+    pfail = min(float(estimate.pfail), 0.5)
+    upper = min(pfail + float(estimate.ci_halfwidth), 0.5)
+    report = analyze_array(config, pfail, cell_pfail_upper=upper)
+    estimate.metadata["array"] = report.as_dict()
+    return report

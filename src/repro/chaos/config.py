@@ -13,15 +13,13 @@ REP009 fingerprint-drift lint pins that classification to the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 #: every ChaosConfig field, by construction resilience-only: the REP009
 #: contract asserts this literal equals the excluded-field set, so a
 #: new field cannot silently become identity-bearing.
-_RESILIENCE_FIELDS = frozenset({
-    "inject_fs", "lease_s", "watchdog_interval_s", "max_attempts",
-    "heartbeat_s",
-})
+_RESILIENCE_FIELDS = frozenset({"inject_fs", "lease_s", "max_attempts"})
 
 
 @dataclass(frozen=True)
@@ -38,44 +36,29 @@ class ChaosConfig:
         How long a worker owns a ``running`` job before the watchdog
         may reclaim it.  Workers renew at every checkpoint boundary,
         so the lease only expires when a worker hangs or dies.
-    watchdog_interval_s:
-        Sweep cadence; ``None`` derives ``lease_s / 4`` (a hung worker
-        is reclaimed well within one lease interval).
     max_attempts:
         Attempt budget per job: once a job has started this many times
         and still not finished, the next failure or lease expiry
         dead-letters it instead of re-queueing.  A per-job
         ``JobSpec.max_attempts`` overrides this default.
-    heartbeat_s:
-        Idle interval after which a ``follow`` event stream emits a
-        heartbeat line so clients can keep a read timeout armed.
     """
 
     inject_fs: str | None = None
     lease_s: float = 60.0
-    watchdog_interval_s: float | None = None
     max_attempts: int = 3
-    heartbeat_s: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.lease_s <= 0:
+        # NaN passes a plain `<= 0` check and would make the watchdog
+        # sweep in a busy loop (its cadence is lease_s / 4)
+        if not (math.isfinite(self.lease_s) and self.lease_s > 0):
             raise ValueError(
-                f"lease_s must be > 0, got {self.lease_s}")
-        if (self.watchdog_interval_s is not None
-                and self.watchdog_interval_s <= 0):
-            raise ValueError(
-                f"watchdog_interval_s must be > 0, got "
-                f"{self.watchdog_interval_s}")
+                f"lease_s must be finite and > 0, got {self.lease_s}")
         if self.max_attempts < 1:
             raise ValueError(
                 f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.heartbeat_s <= 0:
-            raise ValueError(
-                f"heartbeat_s must be > 0, got {self.heartbeat_s}")
 
     @property
     def sweep_interval_s(self) -> float:
-        """The effective watchdog cadence."""
-        if self.watchdog_interval_s is not None:
-            return self.watchdog_interval_s
+        """The watchdog cadence: a quarter of the lease, so a hung
+        worker is reclaimed well within one lease interval."""
         return self.lease_s / 4.0

@@ -16,7 +16,7 @@ restorable.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from repro.checkpoint.config import CheckpointConfig
 
@@ -24,6 +24,8 @@ from repro.checkpoint.config import CheckpointConfig
 def run_checkpointed(cp: CheckpointConfig | None, name: str,
                      estimator: Any, *,
                      crash_budget: list[int] | None = None,
+                     interrupt: Callable[[], str | None] | None = None,
+                     listener: Callable[[int, str], None] | None = None,
                      **run_kwargs: Any) -> Any:
     """Run ``estimator.run(**run_kwargs)`` under checkpoint policy
     ``cp``; with ``cp=None`` this is a plain ``estimator.run``.
@@ -31,12 +33,17 @@ def run_checkpointed(cp: CheckpointConfig | None, name: str,
     ``crash_budget`` (a single-element list) threads one
     ``--crash-after-checkpoints`` countdown across the sequential runs
     of a campaign; the element is decremented by the saves this run
-    performs.
+    performs.  ``interrupt`` and ``listener`` become the manager's
+    hooks of the same names (see
+    :class:`~repro.checkpoint.manager.CheckpointManager`): the job
+    service's cancellation poll and progress feed.
     """
     if cp is None:
         return estimator.run(**run_kwargs)
 
     manager = cp.manager(name, crash_budget=crash_budget)
+    manager.interrupt = interrupt
+    manager.listener = listener
     try:
         if cp.resume:
             result = manager.load_result()

@@ -7,8 +7,8 @@ score, which stays sensible at small failure counts.
 
 The sample block is split into chunks, each drawn from its own child
 generator and simulated as one runtime task.  The chunk decomposition is
-backend-independent, so for a fixed seed the ``serial``, ``thread`` and
-``process`` backends produce the bit-identical estimate.
+backend-independent, so for a fixed seed the ``serial`` and ``process``
+backends produce the bit-identical estimate.
 """
 
 from __future__ import annotations

@@ -60,8 +60,8 @@ def _add_common_args(cmd: argparse.ArgumentParser) -> None:
                           "bit-identical across backends for a fixed "
                           "seed)")
     cmd.add_argument("--workers", type=_positive_int, default=None,
-                     help="worker-pool size for the thread/process "
-                          "backends (default: all cores)")
+                     help="worker-pool size for the process "
+                          "backend (default: all cores)")
     cmd.add_argument("--health-policy",
                      choices=[p.value for p in HealthPolicy],
                      default="strict",
@@ -262,7 +262,7 @@ def _run_array(args, config: EcripseConfig,
                checkpoint: CheckpointConfig | None,
                perf: PerfConfig | None) -> tuple[int, object]:
     """The ``array`` subcommand: decision tables from a pfail."""
-    from repro.analysis.ecc import analyze_array
+    from repro.analysis.ecc import analyze_array, attach_array_report
 
     array_config = _array_config(args)
     result: object = None
@@ -270,7 +270,7 @@ def _run_array(args, config: EcripseConfig,
         if not 0.0 <= args.pfail <= 0.5:
             raise SystemExit(
                 f"--pfail must lie in [0, 0.5], got {args.pfail}")
-        pfail, upper = args.pfail, None
+        report = analyze_array(array_config, args.pfail)
     else:
         setup = paper_setup(vdd=args.vdd, alpha=args.alpha, perf=perf)
         estimator = EcripseEstimator(setup.space, setup.indicator,
@@ -281,11 +281,7 @@ def _run_array(args, config: EcripseConfig,
             target_relative_error=args.target)
         print(result.summary())
         print()
-        pfail = min(result.pfail, 0.5)
-        upper = min(result.pfail + result.ci_halfwidth, 0.5)
-    report = analyze_array(array_config, pfail, cell_pfail_upper=upper)
-    if result is not None:
-        result.metadata["array"] = report.as_dict()
+        report = attach_array_report(array_config, result)
     print(report.render_text())
     if args.json is not None:
         payload = json.dumps(report.as_dict(), indent=2,

@@ -56,8 +56,8 @@ RULE_SCOPES: dict[str, RuleScope] = {
     # failure must be retried or demoted to the serial fallback.
     "REP006": RuleScope(exclude=("*repro/runtime/executor.py",)),
     # Lock discipline matters where worker threads, scheduler callbacks
-    # and HTTP handlers share state; perf caches are shared by the
-    # thread backend the same way.
+    # and HTTP handlers share state; a registered perf cache is shared
+    # by the daemon's worker threads the same way.
     "REP007": RuleScope(
         include=("*repro/service/*", "*repro/runtime/*",
                  "*repro/perf/*", "*repro/checkpoint/*")),
@@ -186,10 +186,7 @@ FINGERPRINT_CONTRACTS: tuple[FingerprintContract, ...] = (
     # so every field is excluded and the constant pins the set.
     FingerprintContract(
         cls="repro.chaos.config.ChaosConfig",
-        excluded=frozenset({
-            "inject_fs", "lease_s", "watchdog_interval_s",
-            "max_attempts", "heartbeat_s",
-        }),
+        excluded=frozenset({"inject_fs", "lease_s", "max_attempts"}),
         exclusion_constant="_RESILIENCE_FIELDS"),
     # The array-reliability question: every field changes the decision
     # tables, so everything is identity (result_fields() embeds the

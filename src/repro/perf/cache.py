@@ -15,10 +15,11 @@ resubmit that changes only the stopping rule -- is all hits with zero
 device-model evaluations.  The cache is therefore opt-in: the evaluator
 carries one only with ``PerfConfig.cache_path`` (``--solve-cache``).
 
-The cache is LRU-bounded, thread-safe (the thread backend labels chunks
-concurrently through one evaluator) and deliberately *empty after
-pickling*: the process backend ships the evaluator to workers per task,
-and a growing cache inside those pickles would drown the run in IPC.
+The cache is LRU-bounded, thread-safe (the service daemon's worker
+threads share one registered cache across concurrent jobs) and
+deliberately *empty after pickling*: the process backend ships the
+evaluator to workers per task, and a growing cache inside those pickles
+would drown the run in IPC.
 :meth:`save`/:meth:`load` persist the cache on disk (entries packed by
 :meth:`state`/:meth:`restore_state`) through the same temp-then-rename
 discipline as :mod:`repro.analysis.persistence`.
@@ -123,8 +124,8 @@ class SolveCache:
     def stats(self) -> dict:
         """Counter snapshot for telemetry/perf reports.
 
-        Taken under the lock so the thread backend never reads counters
-        torn across a concurrent :meth:`lookup` update.
+        Taken under the lock so a daemon worker thread never reads
+        counters torn across another job's concurrent :meth:`lookup`.
         """
         with self._lock:
             return {"cache_entries": len(self._data),

@@ -6,8 +6,8 @@ work that consumes random streams fixes its own decomposition (naive
 Monte Carlo chunks at its fingerprinted ``batch_size``, one child
 generator per chunk), and the blocks
 :meth:`~repro.runtime.executor.Executor.map_chunks` splits are labelled
-row by row, so their chunking may follow the worker count -- ``serial``,
-``thread`` and ``process`` runs of the same problem agree bit for bit.
+row by row, so their chunking may follow the worker count -- ``serial``
+and ``process`` runs of the same problem agree bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 
 #: Recognised backend names.
-BACKENDS: tuple[str, ...] = ("serial", "thread", "process")
+BACKENDS: tuple[str, ...] = ("serial", "process")
 
 #: Smallest chunk the worker-scaled split will produce; keeps the
 #: vectorised indicator batches from degenerating into per-row calls.
@@ -30,11 +30,10 @@ class ExecutionConfig:
     Attributes
     ----------
     backend:
-        ``"serial"`` (in-process, the default), ``"thread"``
-        (``ThreadPoolExecutor``) or ``"process"``
+        ``"serial"`` (in-process, the default) or ``"process"``
         (``ProcessPoolExecutor``).
     workers:
-        Pool size for the parallel backends; ``None`` means
+        Pool size for the process backend; ``None`` means
         ``os.cpu_count()``.
     """
 
@@ -68,7 +67,7 @@ class ExecutionConfig:
         """Chunk size for a row-pure block of ``n_items`` rows.
 
         One chunk on the serial backend; roughly four chunks per worker
-        on the pooled ones, never below :data:`MIN_PURE_CHUNK` rows and
+        on the process pool, never below :data:`MIN_PURE_CHUNK` rows and
         never above the block.
         """
         if n_items < 1:

@@ -1,7 +1,7 @@
 """The pluggable execution engine.
 
-:class:`Executor` runs estimator workloads as ordered task lists on a
-configurable backend (serial / thread pool / process pool) with
+:class:`Executor` runs estimator workloads as ordered task lists,
+inline (serial) or on a process pool, with
 
 * **ordered results** -- :meth:`map_chunks` splits a row-pure block with
   :func:`~repro.runtime.chunking.plan_chunks`, and :meth:`iter_tasks`
@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.runtime.backends import make_backend
+from repro.runtime.backends import ProcessBackend
 from repro.runtime.signals import shutdown_requested
 from repro.runtime.chunking import plan_chunks
 from repro.runtime.config import ExecutionConfig
@@ -76,7 +76,8 @@ class Executor:
         self.config = config if config is not None else ExecutionConfig()
         self.counter = counter
         self.history: list[RunMetrics] = []
-        self._backend = make_backend(self.config)
+        self._backend = (ProcessBackend(self.config.effective_workers)
+                         if self.config.is_parallel else None)
         self._broken = False
 
     # ------------------------------------------------------------------
@@ -146,7 +147,7 @@ class Executor:
         parent process or on a pool worker.
 
         Stopping the iteration early abandons the remaining tasks (on the
-        serial backend they never start; on pooled backends outstanding
+        serial backend they never start; on the process pool outstanding
         futures are cancelled best-effort -- already-running ones finish
         and are discarded, so early stopping never changes the consumed
         prefix).  Telemetry is finalised when the generator exhausts or
@@ -240,7 +241,7 @@ class Executor:
                 result, wall = future.result()
                 records.append(ChunkRecord(
                     index=index, size=size, attempts=attempts,
-                    wall_time_s=wall, where=self._backend.name))
+                    wall_time_s=wall, where=self.config.backend))
                 return result
             except Exception as exc:
                 if isinstance(exc, BrokenExecutor):

@@ -31,7 +31,7 @@ class ChunkRecord:
         queueing).
     where:
         Backend that produced the accepted result (``"serial"``,
-        ``"thread"``, ``"process"`` or ``"serial-fallback"``).
+        ``"process"`` or ``"serial-fallback"``).
     fell_back:
         Whether the accepted result came from the in-parent fallback.
     """

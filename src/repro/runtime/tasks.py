@@ -52,8 +52,8 @@ def absorb_perf_stats(indicator, stats: dict, where: str) -> None:
     """Merge one executed chunk's counter delta into the parent.
 
     Only process-pool chunks carry counts the parent's evaluator never
-    saw (the worker labelled on its own unpickled copy); serial, thread
-    and fallback chunks ran on the parent's evaluator object, so merging
+    saw (the worker labelled on its own unpickled copy); serial and
+    fallback chunks ran on the parent's evaluator object, so merging
     them would double count.
     """
     if where != "process" or not stats:

@@ -54,13 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="TCP port; 0 picks a free one (printed on "
                             "the readiness line)")
     serve.add_argument("--workers", type=_positive_int, default=2,
-                       help="concurrent job slots (default: 2)")
-    serve.add_argument("--backend", default="serial",
-                       help="runtime backend each job executes under "
-                            "(results are backend-invariant)")
-    serve.add_argument("--backend-workers", type=_positive_int,
-                       default=None,
-                       help="pool size for thread/process backends")
+                       help="concurrent job slots, each running one "
+                            "job serially (default: 2)")
     serve.add_argument("--checkpoint-keep", type=_positive_int,
                        default=3,
                        help="snapshots retained per job (default: 3)")
@@ -78,11 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--lease", type=float, default=60.0,
                        metavar="SECONDS", dest="lease_s",
                        help="worker lease on a running job; the "
-                            "watchdog re-queues jobs whose lease "
-                            "expired (default: 60)")
-    serve.add_argument("--watchdog-interval", type=float, default=None,
-                       metavar="SECONDS",
-                       help="lease sweep cadence (default: lease/4)")
+                            "watchdog sweeps every lease/4 and "
+                            "re-queues jobs whose lease expired "
+                            "(default: 60)")
     serve.add_argument("--max-attempts", type=_positive_int, default=3,
                        help="attempt budget before a repeatedly "
                             "failing job is dead-lettered "
@@ -248,8 +241,7 @@ def main(argv: list[str] | None = None) -> int:
 
             config = ServeConfig(
                 root=args.root, host=args.host, port=args.port,
-                workers=args.workers, backend=args.backend,
-                backend_workers=args.backend_workers,
+                workers=args.workers,
                 quota=Quota(default_simulations=args.quota_default,
                             max_simulations=args.quota_max),
                 checkpoint_keep=args.checkpoint_keep,
@@ -257,7 +249,6 @@ def main(argv: list[str] | None = None) -> int:
                 chaos=ChaosConfig(
                     inject_fs=args.inject_fs,
                     lease_s=args.lease_s,
-                    watchdog_interval_s=args.watchdog_interval,
                     max_attempts=args.max_attempts))
             return ServiceDaemon(config).run()
 

@@ -50,7 +50,7 @@ from repro.chaos.fsops import ChaosFsOps, install_fs
 from repro.core.estimate import FailureEstimate
 from repro.errors import ServiceError, ShutdownRequested
 from repro.perf import PerfConfig, save_registered_caches
-from repro.runtime import ExecutionConfig, default_coordinator
+from repro.runtime import default_coordinator
 from repro.service.model import JobRecord, JobState
 from repro.service.scheduler import QuotaPolicy, Scheduler, now
 from repro.service.spec import JobSpec
@@ -58,6 +58,11 @@ from repro.service.store import JobStore
 
 #: how often blocked waits re-check the shutdown flag [s].
 _POLL_S = 0.2
+
+#: idle time after which a ``follow`` event stream writes a heartbeat
+#: line [s], so clients can keep a read timeout armed; the client's
+#: ``DEFAULT_TIMEOUT_S`` must exceed it.
+HEARTBEAT_S = 10.0
 
 #: largest request body accepted [bytes] (a JobSpec is under 1 kB); a
 #: larger ``Content-Length`` is refused with 413 before any read.
@@ -78,8 +83,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8765
     workers: int = 2
-    backend: str = "serial"
-    backend_workers: int | None = None
     quota: QuotaPolicy = field(default_factory=QuotaPolicy)
     checkpoint_keep: int = 3
     solve_cache: str | None = None
@@ -97,9 +100,10 @@ class Watchdog:
     Periodically calls :meth:`ServiceDaemon.sweep_leases`, reclaiming
     ``running`` jobs whose worker lease expired: back to
     ``checkpointed`` and re-queued while attempt budget remains,
-    dead-lettered once it is spent.  The sweep interval defaults to a
-    quarter of the lease, so a hung worker's job is back in the queue
-    well within one lease interval of the expiry.
+    dead-lettered once it is spent.  It sweeps every quarter of the
+    lease (:attr:`~repro.chaos.config.ChaosConfig.sweep_interval_s`),
+    so a hung worker's job is back in the queue well within one lease
+    interval of the expiry.
     """
 
     def __init__(self, daemon: "ServiceDaemon",
@@ -133,8 +137,6 @@ class ServiceDaemon:
         self.store = JobStore(config.root)
         self.scheduler = Scheduler()
         self.coordinator = default_coordinator()
-        self.execution = ExecutionConfig(backend=config.backend,
-                                         workers=config.backend_workers)
         self._httpd: ThreadingHTTPServer | None = None
         self._threads: list[threading.Thread] = []
         self._chaos_fs: ChaosFsOps | None = None
@@ -508,8 +510,7 @@ class ServiceDaemon:
         token = record.lease_owner
         self.store.append_event(job_id, "started", at,
                                 attempt=record.attempts, resume=resume,
-                                lease_owner=token,
-                                backend=self.execution.backend)
+                                lease_owner=token)
 
         cached = self._cached_result(record.fingerprint)
         if cached is not None:
@@ -544,8 +545,8 @@ class ServiceDaemon:
         try:
             estimate = execute(record.spec,
                                self.store.checkpoint_dir(job_id),
-                               resume=resume, execution=self.execution,
-                               perf=perf, keep=self.config.checkpoint_keep,
+                               resume=resume, perf=perf,
+                               keep=self.config.checkpoint_keep,
                                interrupt=interrupt, listener=listener)
         except ShutdownRequested as stop:
             at = now()
@@ -630,7 +631,6 @@ class ServiceDaemon:
             sweeps = self._watchdog_sweeps
         return {"status": "ok", "queued": len(self.scheduler),
                 "workers": self.config.workers,
-                "backend": self.execution.backend,
                 "jobs": counts,
                 "leases": {"active": active_leases,
                            "lease_s": self.config.chaos.lease_s,
@@ -815,7 +815,7 @@ def _make_handler(daemon: ServiceDaemon) -> type[BaseHTTPRequestHandler]:
                 cursor += len(events)
                 if events:
                     idle_s = 0.0
-                elif idle_s >= daemon.config.chaos.heartbeat_s:
+                elif idle_s >= HEARTBEAT_S:
                     # Keep-alive for clients with read timeouts: not a
                     # stored event (the cursor does not advance), just
                     # proof of life on a quiet stream.  Clients drop

@@ -11,23 +11,24 @@ Three responsibilities:
   checkpoint fingerprint + evaluator solve fingerprint + the spec's
   result fields.  Equal keys mean bit-identical estimates, so the cache
   may answer without simulating;
-* :func:`execute_job` -- one checkpointed run with the full resume
+* :func:`execute_job` -- one run under
+  :func:`~repro.checkpoint.integrate.run_checkpointed`'s resume
   protocol, wired to the service's cancellation hook and progress
   listener through the :class:`~repro.checkpoint.manager.CheckpointManager`
   seam (the same safe-boundary seam the kill/resume harness uses, so
   every interruption resumes bit-identically).
 
-Naive jobs always run the *chunked* path (a real
-:class:`~repro.runtime.config.ExecutionConfig`, never ``None``): the
-chunk decomposition is backend-invariant, so the cached result is valid
-whatever backend a later daemon happens to serve it under.
+Jobs run on the default (serial)
+:class:`~repro.runtime.config.ExecutionConfig`: the daemon's job slots
+(``ecripse serve --workers``) are its parallelism.  Estimates are
+backend-invariant, so a cached result equals what any backend computes.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.checkpoint.config import CheckpointConfig
+from repro.checkpoint import CheckpointConfig, run_checkpointed
 from repro.core.ecripse import EcripseConfig, EcripseEstimator
 from repro.core.estimate import FailureEstimate
 from repro.core.naive import NaiveMonteCarlo
@@ -36,7 +37,6 @@ from repro.experiments.setup import ExperimentSetup, paper_setup
 from repro.health import HealthConfig
 from repro.perf import PerfConfig
 from repro.rng import stable_seed
-from repro.runtime import ExecutionConfig
 from repro.service.spec import SPEC_SCHEMA, JobSpec
 
 
@@ -47,22 +47,18 @@ def job_setup(spec: JobSpec,
                        grid_points=spec.grid_points, perf=perf)
 
 
-def build_estimator(spec: JobSpec, setup: ExperimentSetup,
-                    execution: ExecutionConfig | None = None):
+def build_estimator(spec: JobSpec, setup: ExperimentSetup):
     """Construct the estimator for ``spec`` over ``setup``."""
-    execution = ExecutionConfig() if execution is None else execution
     if spec.kind in ("estimate", "array"):
         health = HealthConfig(policy=spec.health_policy)
         config = (EcripseConfig.quick() if spec.quick
-                  else EcripseConfig()).with_(execution=execution,
-                                              health=health)
+                  else EcripseConfig()).with_(health=health)
         return EcripseEstimator(setup.space, setup.indicator,
                                 setup.rtn_model, config=config,
                                 seed=spec.seed)
     if spec.kind == "naive":
         return NaiveMonteCarlo(setup.space, setup.indicator,
-                               setup.rtn_model, seed=spec.seed,
-                               execution=execution)
+                               setup.rtn_model, seed=spec.seed)
     raise ServiceError(f"unknown job kind {spec.kind!r}")
 
 
@@ -102,7 +98,6 @@ def spec_fingerprint(spec: JobSpec) -> str:
 
 
 def execute_job(spec: JobSpec, checkpoint_dir, *, resume: bool,
-                execution: ExecutionConfig | None = None,
                 perf: PerfConfig | None = None,
                 keep: int = 3,
                 interrupt: Callable[[], str | None] | None = None,
@@ -116,50 +111,32 @@ def execute_job(spec: JobSpec, checkpoint_dir, *, resume: bool,
     (the process-wide signal coordinator is honoured the same way).
     ``listener(n_simulations, kind)`` fires after each durable save.
 
-    The resume protocol matches
-    :func:`repro.checkpoint.integrate.run_checkpointed`: a finished
+    The run goes through
+    :func:`~repro.checkpoint.integrate.run_checkpointed`: a finished
     run's ``result.json`` short-circuits, an interrupted run restores
     the newest snapshot and continues bit-identically, and the final
     estimator state is snapshotted before the result is published.
+    An array job's decision is attached after that, so it also rides
+    a result the short-circuit returned.
     """
     if spec.kind == "array" and spec.pfail is not None:
         # the decision question with a directly supplied pfail is pure
         # arithmetic -- no simulations, nothing to checkpoint
         return _direct_array_estimate(spec)
     setup = job_setup(spec, perf=perf)
-    estimator = build_estimator(spec, setup, execution=execution)
+    estimator = build_estimator(spec, setup)
     cp = CheckpointConfig(directory=checkpoint_dir,
                           every_simulations=spec.checkpoint_every,
                           keep=keep, resume=resume)
-    manager = cp.manager("run")
-    manager.interrupt = interrupt
-    manager.listener = listener
-    if resume:
-        result = manager.load_result()
-        if result is not None:
-            manager.restore_into(estimator)
-            return result
-        manager.restore_into(estimator)
-    estimate = estimator.run(checkpoint=manager, **run_kwargs(spec))
+    estimate = run_checkpointed(cp, "run", estimator,
+                                interrupt=interrupt, listener=listener,
+                                **run_kwargs(spec))
     if spec.kind == "array":
-        _attach_array_report(spec, estimate)
-    manager.save_final(estimator, estimate.n_simulations)
-    manager.save_result(estimate)
+        from repro.analysis.ecc import attach_array_report
+
+        assert spec.array is not None
+        attach_array_report(spec.array, estimate)
     return estimate
-
-
-def _attach_array_report(spec: JobSpec,
-                         estimate: FailureEstimate) -> None:
-    """Evaluate the decision chain on a finished estimate (robustness
-    is judged at the CI upper bound) and ride it on the metadata, so
-    the fingerprint-keyed result cache serves the full decision."""
-    from repro.analysis.ecc import analyze_array
-
-    assert spec.array is not None
-    pfail = min(float(estimate.pfail), 0.5)
-    upper = min(pfail + float(estimate.ci_halfwidth), 0.5)
-    report = analyze_array(spec.array, pfail, cell_pfail_upper=upper)
-    estimate.metadata["array"] = report.as_dict()
 
 
 def _direct_array_estimate(spec: JobSpec) -> FailureEstimate:

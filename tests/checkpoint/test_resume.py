@@ -17,7 +17,7 @@ from repro.core.indicator import FunctionIndicator
 from repro.core.naive import NaiveMonteCarlo
 from repro.errors import CheckpointCrash, CheckpointError
 from repro.rtn.model import ZeroRtnModel
-from repro.runtime import ExecutionConfig
+from repro.runtime import BACKENDS, ExecutionConfig
 from repro.variability.space import VariabilitySpace
 
 DIM = 4
@@ -28,8 +28,6 @@ NULL = ZeroRtnModel(SPACE)
 TINY = EcripseConfig(n_particles=40, n_iterations=3, k_train=64,
                      stage2_batch=600, max_statistical_samples=50_000,
                      n_boundary_directions=24, n_bisections=8)
-
-BACKENDS = ("serial", "thread", "process")
 
 
 # module-level (picklable) indicator body for the process backend
@@ -99,7 +97,7 @@ class TestEcripseKillResume:
                              target_relative_error=0.2)
         resume_cp = CheckpointConfig(directory=tmp_path,
                                      every_simulations=None, resume=True)
-        resumed = run_checkpointed(resume_cp, "run", _ecripse("thread"),
+        resumed = run_checkpointed(resume_cp, "run", _ecripse("process"),
                                    target_relative_error=0.2)
         assert _signature(resumed) == _signature(reference)
 

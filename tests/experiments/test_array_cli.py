@@ -36,9 +36,9 @@ class TestArrayParser:
 
     def test_accepts_runtime_and_checkpoint_flags(self):
         args = _build_parser().parse_args(
-            ["array", "--backend", "thread", "--workers", "2",
+            ["array", "--backend", "process", "--workers", "2",
              "--quick", "--seed", "1"])
-        assert args.backend == "thread"
+        assert args.backend == "process"
         assert args.quick
 
 

@@ -47,6 +47,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             _build_parser().parse_args(["fig7", "--backend", "gpu"])
 
+    def test_thread_backend_is_an_argparse_error(self, capsys):
+        parser = _build_parser()
+        for command in ("fig6", "fig7", "fig8", "ablations", "campaign",
+                        "vmin", "estimate", "array"):
+            argv = [command, "--backend", "thread"]
+            if command == "vmin":
+                argv += ["--budget", "1000"]
+            with pytest.raises(SystemExit) as info:
+                parser.parse_args(argv)
+            assert info.value.code == 2, command
+            assert "invalid choice: 'thread'" in capsys.readouterr().err
+
     def test_non_positive_workers_rejected(self):
         with pytest.raises(SystemExit):
             _build_parser().parse_args(["fig7", "--workers", "0"])
@@ -67,12 +79,12 @@ class TestEstimateCommand:
         assert code == 0
         serial_out = capsys.readouterr().out
         code = main(["estimate", "--quick", "--target", "0.5", "--seed",
-                     "1", "--backend", "thread", "--workers", "2"])
+                     "1", "--backend", "process", "--workers", "2"])
         assert code == 0
-        thread_out = capsys.readouterr().out
+        process_out = capsys.readouterr().out
         def pfail_line(text):
             line = next(line for line in text.splitlines()
                         if "Pfail" in line)
             return line.rsplit(",", 1)[0]  # drop the wall-time suffix
 
-        assert pfail_line(thread_out) == pfail_line(serial_out)
+        assert pfail_line(process_out) == pfail_line(serial_out)

@@ -25,8 +25,6 @@ TINY = EcripseConfig(n_particles=40, n_iterations=5, k_train=64,
                      stage2_batch=600, max_statistical_samples=50_000,
                      n_boundary_directions=24, n_bisections=8)
 
-BACKENDS = ("serial", "thread", "process")
-
 
 # module-level (picklable) indicator body for the process backend
 def two_lobes(x):

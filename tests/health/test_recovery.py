@@ -22,8 +22,9 @@ from repro.checkpoint import CheckpointConfig, run_checkpointed
 from repro.errors import (CheckpointCrash, ClassifierError, ConvergenceError,
                           DegradationError)
 from repro.health import HealthConfig
+from repro.runtime import BACKENDS
 
-from tests.health.conftest import BACKENDS, make_estimator, signature
+from tests.health.conftest import make_estimator, signature
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::repro.errors.HealthyDegradation")

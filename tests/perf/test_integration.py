@@ -96,7 +96,7 @@ class TestEcripseBitIdentity:
         assert perf["device_model_evals"] < \
             0.2 * first.metadata["perf"]["device_model_evals"]
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_parallel_backends_match_serial(self, backend):
         execution = ExecutionConfig(backend=backend, workers=2)
         serial, _ = run_once(PerfConfig())

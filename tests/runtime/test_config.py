@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.perf import PerfConfig
-from repro.runtime import ExecutionConfig
+from repro.runtime import BACKENDS, ExecutionConfig
 from repro.runtime.config import MIN_PURE_CHUNK
 
 
@@ -19,6 +19,11 @@ class TestValidation:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
             ExecutionConfig(backend="gpu")
+
+    def test_process_is_the_only_pool(self):
+        assert BACKENDS == ("serial", "process")
+        with pytest.raises(ValueError, match="unknown backend 'thread'"):
+            ExecutionConfig(backend="thread")
 
     def test_bad_counts_rejected(self):
         with pytest.raises(ValueError):

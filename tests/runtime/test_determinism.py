@@ -1,9 +1,8 @@
 """End-to-end determinism of the parallel runtime.
 
 The acceptance contract of the runtime subsystem: for a fixed seed, the
-``thread`` and ``process`` backends reproduce the ``serial`` estimate
-bit-for-bit -- including when workers fail and chunks fall back to the
-parent process.
+``process`` backend reproduces the ``serial`` estimate bit-for-bit --
+including when workers fail and chunks fall back to the parent process.
 """
 
 import os
@@ -72,12 +71,11 @@ def _ecripse_result(execution=None, indicator=None):
 class TestEcripseAcrossBackends:
     def test_parallel_backends_match_serial_bitwise(self):
         serial = _ecripse_result(_execution("serial"))
-        for backend in ("thread", "process"):
-            result = _ecripse_result(_execution(backend))
-            assert result.pfail == serial.pfail  # bit-identical, no tol
-            assert result.n_simulations == serial.n_simulations
-            assert result.n_statistical_samples == \
-                serial.n_statistical_samples
+        result = _ecripse_result(_execution("process"))
+        assert result.pfail == serial.pfail  # bit-identical, no tol
+        assert result.n_simulations == serial.n_simulations
+        assert result.n_statistical_samples == \
+            serial.n_statistical_samples
 
     def test_default_config_unchanged_by_runtime(self):
         """The executor wiring must not perturb the plain serial path."""
@@ -87,9 +85,9 @@ class TestEcripseAcrossBackends:
         assert default.n_simulations == explicit.n_simulations
 
     def test_execution_metadata_recorded(self):
-        result = _ecripse_result(_execution("thread"))
+        result = _ecripse_result(_execution("process"))
         runtime = result.metadata["execution"]
-        assert runtime["backend"] == "thread"
+        assert runtime["backend"] == "process"
         assert runtime["workers"] == 2
         # boundary-stage simulations run outside the executor; everything
         # else (stage-1 + stage-2 labelling) is accounted by the runtime
@@ -134,12 +132,10 @@ class TestNaiveAcrossBackends:
 
     def test_backends_match_bitwise(self):
         serial = self._run("serial")
-        for backend in ("thread", "process"):
-            result = self._run(backend)
-            assert result.pfail == serial.pfail
-            assert result.n_simulations == serial.n_simulations
-            assert result.metadata["failures"] == \
-                serial.metadata["failures"]
+        result = self._run("process")
+        assert result.pfail == serial.pfail
+        assert result.n_simulations == serial.n_simulations
+        assert result.metadata["failures"] == serial.metadata["failures"]
 
     def test_early_stop_consumes_identical_prefix(self):
         """The stopping rule runs on the ordered chunk prefix, so the

@@ -2,7 +2,6 @@
 retry/fallback fault tolerance, chunking edge cases, telemetry."""
 
 import os
-import threading
 
 import numpy as np
 import pytest
@@ -10,11 +9,9 @@ import pytest
 from repro.core.indicator import SimulationCounter
 from repro.errors import BudgetExceededError, ExecutionError
 from repro.rng import spawn
-from repro.runtime import ExecutionConfig, Executor
+from repro.runtime import BACKENDS, ExecutionConfig, Executor
 from repro.runtime import executor as executor_module
 from repro.runtime.config import MIN_PURE_CHUNK as CHUNK
-
-BACKENDS = ("serial", "thread", "process")
 
 
 def _cfg(backend):
@@ -34,12 +31,6 @@ def draw_normals(chunk, rng):
 
 def fail_outside_pid(chunk, pid):
     if os.getpid() != pid:
-        raise RuntimeError("injected worker failure")
-    return chunk * 2
-
-
-def fail_outside_thread(chunk, ident):
-    if threading.get_ident() != ident:
         raise RuntimeError("injected worker failure")
     return chunk * 2
 
@@ -98,14 +89,6 @@ class TestFaultTolerance:
         assert metrics.n_fallbacks == metrics.n_chunks == 4
         assert metrics.n_retries == 4 * executor_module.MAX_RETRIES
         assert all(r.where == "serial-fallback" for r in metrics.records)
-
-    def test_thread_failure_falls_back(self):
-        block = np.arange(2 * CHUNK, dtype=float)
-        with Executor(_cfg("thread")) as ex:
-            out = ex.map_chunks(fail_outside_thread, block,
-                                threading.get_ident())
-            assert ex.last_metrics.n_fallbacks == 2
-        assert np.array_equal(out, block * 2)
 
     def test_unpicklable_task_degrades_to_serial(self):
         """A lambda cannot cross the process boundary; the run must
@@ -170,7 +153,7 @@ class TestTelemetry:
     def test_declared_simulations_counted_and_recorded(self):
         counter = SimulationCounter()
         n = 3 * CHUNK
-        with Executor(_cfg("thread"), counter=counter) as ex:
+        with Executor(_cfg("process"), counter=counter) as ex:
             ex.map_chunks(double, np.zeros((n, 1)), simulations=n)
         assert counter.count == n
         assert ex.last_metrics.n_simulations == n
@@ -200,7 +183,7 @@ class TestTelemetry:
         assert calls == []  # the breaker fired before dispatch
 
     def test_history_aggregates(self):
-        with Executor(_cfg("thread")) as ex:
+        with Executor(_cfg("process")) as ex:
             ex.map_chunks(double, np.zeros((2 * CHUNK, 1)))
             ex.map_chunks(double, np.zeros((3 * CHUNK, 1)))
             total = ex.aggregate()
@@ -209,15 +192,15 @@ class TestTelemetry:
         assert total.n_chunks == 5
 
     def test_chunk_records_have_timing(self):
-        with Executor(_cfg("thread")) as ex:
+        with Executor(_cfg("process")) as ex:
             ex.map_chunks(double, np.zeros((8, 1)))
             record = ex.last_metrics.records[0]
         assert record.wall_time_s >= 0.0
-        assert record.where == "thread"
+        assert record.where == "process"
         assert record.attempts == 1
 
     def test_executor_reusable_after_close(self):
-        ex = Executor(_cfg("thread"))
+        ex = Executor(_cfg("process"))
         out1 = ex.map_chunks(double, np.arange(8.0))
         ex.close()
         out2 = ex.map_chunks(double, np.arange(8.0))

@@ -151,6 +151,17 @@ class TestChainedArrayJobs:
         cached = daemon.store.load_result(duplicate.fingerprint)
         assert "array" in cached.metadata
 
+    def test_finished_run_resumes_with_the_decision(self, tmp_path):
+        """A job whose ``result.json`` was saved before its record
+        settled resumes from that file; the decision is attached after
+        the run, so the short-circuit carries it too."""
+        spec = JobSpec.from_dict(CHAINED)
+        first = execute_job(spec, tmp_path, resume=False)
+        again = execute_job(spec, tmp_path, resume=True)
+        assert again.n_simulations == first.n_simulations
+        assert json.dumps(again.metadata["array"], sort_keys=True) \
+            == json.dumps(first.metadata["array"], sort_keys=True)
+
 
 class TestServiceCliSpecs:
     def _parse(self, argv):

@@ -1,20 +1,20 @@
 """The service CLI surface added for resilience operations."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.service import cli
+from repro.service.server import ServeConfig
 
 
 class TestParser:
     def test_serve_resilience_flags(self):
         args = cli._build_parser().parse_args(
             ["serve", "--root", "state", "--lease", "30",
-             "--watchdog-interval", "5", "--max-attempts", "2",
-             "--inject-fs", "rename:3:fail"])
+             "--max-attempts", "2", "--inject-fs", "rename:3:fail"])
         assert args.lease_s == 30.0
-        assert args.watchdog_interval == 5.0
         assert args.max_attempts == 2
         assert args.inject_fs == "rename:3:fail"
 
@@ -22,9 +22,34 @@ class TestParser:
         args = cli._build_parser().parse_args(
             ["serve", "--root", "state"])
         assert args.lease_s == 60.0
-        assert args.watchdog_interval is None
         assert args.max_attempts == 3
         assert args.inject_fs is None
+
+    def test_serve_flag_surface(self):
+        """Jobs run serially (the job slots are the parallelism) and
+        the watchdog sweeps every lease/4: no backend or cadence
+        knob."""
+        assert [f.name for f in dataclasses.fields(ServeConfig)] == [
+            "root", "host", "port", "workers", "quota",
+            "checkpoint_keep", "solve_cache", "chaos"]
+        args = cli._build_parser().parse_args(
+            ["serve", "--root", "state"])
+        assert sorted(vars(args)) == sorted([
+            "command", "root", "host", "port", "workers",
+            "checkpoint_keep", "solve_cache", "quota_default",
+            "quota_max", "lease_s", "max_attempts", "inject_fs"])
+
+    @pytest.mark.parametrize("flag", [
+        ["--backend", "process"],
+        ["--backend-workers", "2"],
+        ["--watchdog-interval", "5"],
+    ])
+    def test_retired_serve_flags_are_argparse_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli._build_parser().parse_args(
+                ["serve", "--root", "state", *flag])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_submit_max_attempts_reaches_the_spec(self):
         args = cli._build_parser().parse_args(

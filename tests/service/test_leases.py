@@ -186,7 +186,7 @@ class TestWatchdogLive:
         # renews) must lose its lease within ~one sweep interval.
         daemon = ServiceDaemon(ServeConfig(
             root=tmp_path / "state", port=0, workers=1,
-            chaos=ChaosConfig(lease_s=0.4, watchdog_interval_s=0.05)))
+            chaos=ChaosConfig(lease_s=0.4)))  # sweeps every 0.1 s
         released = threading.Event()
 
         def hang(spec, checkpoint_dir, **kwargs):

@@ -4,11 +4,14 @@ import json
 import socket
 import threading
 import time
+import urllib.request
 from urllib.parse import urlparse
 
 import pytest
 
 from repro.errors import ServiceError, ShutdownRequested
+from repro.service import client as client_module
+from repro.service import server as server_module
 from repro.service.client import RetryPolicy, ServiceClient
 from repro.service.model import JobState
 from repro.service.scheduler import QuotaPolicy
@@ -404,6 +407,8 @@ class TestHttpSurface:
         assert health["leases"]["lease_s"] == 60.0
         assert health["dead_letter"]["max_attempts"] == 3
         assert health["watchdog"]["interval_s"] == 15.0
+        # jobs always run serially; there is no backend to report
+        assert "backend" not in health
 
     def test_draining_503_carries_retry_after(self, live):
         daemon, client = live
@@ -415,7 +420,6 @@ class TestHttpSurface:
                               retry=RetryPolicy(attempts=1)
                               ).submit(SPEC.as_dict())
             import urllib.error
-            import urllib.request
             request = urllib.request.Request(
                 f"{daemon.address}/jobs", data=b"{}", method="POST")
             with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -424,3 +428,27 @@ class TestHttpSurface:
             assert excinfo.value.headers["Retry-After"] == "1"
         finally:
             daemon.coordinator.reset()
+
+
+class TestHeartbeat:
+    def test_client_timeout_outlasts_the_heartbeat(self):
+        # a healthy quiet stream must heartbeat inside the read timeout
+        assert client_module.DEFAULT_TIMEOUT_S > server_module.HEARTBEAT_S
+
+    def test_idle_follow_stream_heartbeats_without_moving_the_cursor(
+            self, live, monkeypatch):
+        monkeypatch.setattr(server_module, "HEARTBEAT_S", 0.3)
+        daemon, _ = live
+        # a record no worker picks up: its event feed stays quiet
+        record = daemon.store.create_job(JobSpec(), "fp-quiet", 0.0)
+        url = f"{daemon.address}/jobs/{record.id}/events?follow=1"
+        with urllib.request.urlopen(url, timeout=10) as stream:
+            assert json.loads(stream.readline())["kind"] == "heartbeat"
+            daemon.store.append_event(record.id, "note", 1.0)
+            daemon.cancel(record.id)  # terminal: the server ends it
+            lines = [json.loads(line) for line in stream]
+        events = [e for e in lines if e["kind"] != "heartbeat"]
+        # heartbeats are never stored and never advance the cursor, so
+        # the stream still delivers every stored event from index 0
+        assert events == daemon.store.read_events(record.id)
+        assert [e["kind"] for e in events] == ["note", "cancelled"]

@@ -5,7 +5,6 @@ import pytest
 from repro.core.ecripse import EcripseEstimator
 from repro.core.naive import NaiveMonteCarlo
 from repro.errors import ShutdownRequested
-from repro.runtime import ExecutionConfig
 from repro.service.spec import JobSpec
 from repro.service.worker import build_estimator, execute_job, \
     job_setup, run_kwargs
@@ -48,13 +47,6 @@ class TestBuildWiring:
             "target_relative_error": 0.5, "max_simulations": None}
         assert run_kwargs(NAIVE) == {
             "n_samples": 3000, "target_relative_error": 1e-9}
-
-    def test_backend_is_injectable(self):
-        setup = job_setup(NAIVE)
-        estimator = build_estimator(
-            NAIVE, setup, execution=ExecutionConfig(backend="thread",
-                                                    workers=2))
-        assert estimator.execution.backend == "thread"
 
 
 class TestExecuteJob:
