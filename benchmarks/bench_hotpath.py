@@ -1,8 +1,8 @@
 """Benchmark the repro.perf hot-path acceleration (PR 5 acceptance gate).
 
 Runs the Fig. 8 duty-ratio sweep twice -- once with the legacy exact
-evaluator, once with the accelerated one (adaptive labelling) -- and
-asserts the acceptance criteria:
+evaluator, once with the accelerated one (labelling on the 8 -> 12 ->
+20 -> 40 screening ladder) -- and asserts the acceptance criteria:
 
 * every estimate (pfail, CI, simulation count, trace) is bit-identical
   between the two sweeps;
@@ -25,7 +25,8 @@ bit-identical in every case.
 The row-tile gate labels a 5,000-row prior block and a near-boundary
 block with ``AdaptiveMarginEvaluator`` at the former 4,096-row stride
 and at the default tile, and passes when labels and device-model
-evaluations are equal; both walls and their ratio are recorded.
+evaluations are equal; both walls and their ratio are recorded, with
+the rows each rung of the screening ladder labelled.
 
 The start-up record runs fresh interpreters and reports ``import
 repro``'s wall time and VmRSS, and the deferred scipy.optimize import
@@ -388,9 +389,9 @@ def bench_tiles(quick: bool) -> dict:
     """Gate: the evaluator's row tile changes no label and no work.
 
     Labels one 5,000-row prior block and one near-boundary block (rows
-    jittered 1 % radially about boundary points, so the refine step
-    runs in every tile) at the former 4,096-row stride and at the
-    default tile, interleaving the repeats.
+    jittered 1 % radially about boundary points, so rows climb the
+    screening ladder in every tile) at the former 4,096-row stride and
+    at the default tile, interleaving the repeats.
     """
     print("== evaluator row tile: 4096 vs default ==")
     setup = paper_setup()
@@ -424,12 +425,18 @@ def bench_tiles(quick: bool) -> dict:
         old_s, old_iqr = quartiles(walls[4096])
         new_s, new_iqr = quartiles(walls[default])
         refined = evaluators[default].refined // repeats
+        resolved = {str(depth): count // repeats for depth, count
+                    in evaluators[default].resolved.items()}
         print(f"  {name:13s} {x.shape[0]} rows  4096: {old_s:6.2f} s  "
               f"{default}: {new_s:6.2f} s  ({old_s / new_s:.2f}x)  "
               f"refined {refined}")
+        print(f"  {'':13s} rows labelled at depth "
+              + ", ".join(f"{depth}: {count}"
+                          for depth, count in resolved.items()))
         record[name] = {
             "rows": x.shape[0],
             "refined": refined,
+            "resolved_by_depth": resolved,
             "device_model_evals": evals[default],
             "wall_4096_median_s": old_s, "wall_4096_iqr_s": old_iqr,
             "wall_default_median_s": new_s, "wall_default_iqr_s": new_iqr,

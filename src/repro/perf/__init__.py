@@ -2,10 +2,11 @@
 
 Three cooperating pieces, all result-neutral:
 
-* :class:`~repro.perf.adaptive.AdaptiveMarginEvaluator` -- screens
-  label batches at reduced bisection depth and refines only samples
-  inside a provably safe guard band (labels bit-identical to the exact
-  path);
+* :class:`~repro.perf.adaptive.AdaptiveMarginEvaluator` -- labels
+  batches on a screening ladder of bisection depths (8 -> 12 -> 20,
+  then the exact 40): each rung labels the samples outside its provably
+  safe guard band and resumes the rest from its brackets (labels
+  bit-identical to the exact path);
 * :class:`~repro.perf.cache.SolveCache` -- an opt-in LRU memo of
   butterfly solves keyed on exact ΔVth bytes plus a solve-configuration
   fingerprint, kept in the ``--solve-cache`` directory; it hits only
@@ -73,8 +74,8 @@ def build_evaluator(cell: SramCell, space: VariabilitySpace,
                                   grid_points=grid_points)
     if perf.cache_path is not None:
         # Attach the cache after construction: the fingerprint comes
-        # from the finished evaluator, so the adaptive screening depth
-        # participates and stale coarse entries can never be loaded.
+        # from the finished evaluator, so adaptive and plain evaluators
+        # never load each other's files.
         fingerprint = evaluator.solve_fingerprint()
         key = (str(Path(perf.cache_path).resolve()), fingerprint)
         cache = _REGISTERED_CACHES.get(key)

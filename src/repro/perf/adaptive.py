@@ -1,4 +1,4 @@
-"""Adaptive-resolution margin evaluation.
+"""Adaptive-resolution margin evaluation: the screening ladder.
 
 Every estimate funnels through
 :meth:`~repro.sram.butterfly.ReadButterflySolver.solve`, which spends a
@@ -9,11 +9,14 @@ consume in bulk) that is wasted work: far-from-boundary samples -- the
 vast majority in stage 2 -- only need enough resolution to settle the
 margin's sign.
 
-:class:`AdaptiveMarginEvaluator` therefore screens every batch with a
-reduced-bisection-depth solve on the **same** voltage grid and margin
-levels, and refines only samples whose coarse margin lands inside a
-guard band around zero.  The guard band is derived from the bisection
-error bound, so screened labels are **bit-identical** to the exact
+:class:`AdaptiveMarginEvaluator` therefore labels on a ladder of
+bisection depths, :data:`LADDER` (8, 12 and 20 steps), on the **same**
+voltage grid and margin levels as the exact 40-step solve.  At each
+rung the rows no rung has labelled yet get their lobe margins at that
+depth; a row whose margin lies outside the rung's guard band takes the
+margin's sign as its label, and the others go on to the next rung and
+finally to the exact depth.  The guard band is derived from the
+bisection error bound, so every label is **bit-identical** to the exact
 path's (proof sketch below and in ``docs/PERFORMANCE.md``):
 
 * after ``k`` bisection steps on ``[0, vdd]`` every VTC node voltage is
@@ -26,27 +29,31 @@ path's (proof sketch below and in ``docs/PERFORMANCE.md``):
 * the lobe margin is a max over cut levels of the two-curve gap over
   ``sqrt(2)``, and both max and min (the cell-level margin) are
   1-Lipschitz in sup norm, giving
-  ``|margin_coarse - margin_exact| <= 3 * (eps_kc + eps_ke)``.
+  ``|margin_k - margin_exact| <= 3 * (eps_k + eps_exact)``.
 
-``guard_band`` multiplies that bound by a safety factor (default 2) to
-cover the clamped-extrapolation corner of the interpolator and the
-residual non-monotonicity of an unconverged bisection.  Any coarse
-margin beyond the band provably has the exact margin's sign; anything
-inside it is refined to full depth.  Refinement does not start over:
-bisection is deterministic, so the exact solve's first
-``coarse_iterations`` steps reproduce the coarse brackets exactly, and
-the refinement *resumes* from them, paying only the remaining depth
-(in-band rows cost ``exact - coarse`` extra iterations instead of
-``exact``).  :meth:`margins` (the float-valued API
-used by boundary refinement, cross-entropy and the analyses) always
-returns exact values -- adaptivity accelerates labelling only.
+:func:`margin_guard_band` multiplies that bound by a safety factor
+(default 2) to cover the clamped-extrapolation corner of the
+interpolator and the residual non-monotonicity of an unconverged
+bisection.  Any rung margin beyond its band provably has the exact
+margin's sign.  No row repeats a bisection step: bisection is
+deterministic, so a from-scratch solve's first ``k`` steps reproduce
+rung ``k``'s brackets exactly, and the next rung *resumes* from them.
+A row labelled at depth ``d`` pays ``d`` steps; a row that reaches the
+exact depth pays 40, as on the exact path, plus one margin extraction
+per rung it passed.
+
+With a :class:`~repro.perf.cache.SolveCache`, each rung first looks up
+its own cache level; the cache stores margins, never labels.
+:meth:`margins` (the float-valued API used by boundary refinement,
+cross-entropy and the analyses) always returns exact values --
+adaptivity accelerates labelling only.
 """
 
 from __future__ import annotations
 
 from repro.perf.cache import SolveCache
 from repro.rng import stable_seed
-from repro.sram.butterfly import ReadButterflySolver
+from repro.sram.butterfly import BisectionState, ReadButterflySolver
 from repro.sram.cell import SramCell
 from repro.sram.evaluator import CellEvaluator
 from repro.sram.margins import lobe_margins
@@ -54,75 +61,89 @@ from repro.variability.space import VariabilitySpace
 
 import numpy as np
 
+#: The screening ladder, shallowest rung first: ``(bisection steps,
+#: SolveCache level)`` per rung.  Rows no rung labels go on to the
+#: exact depth (level ``"exact"``).  8 steps is the solver's floor and
+#: the rung that pays for naive Monte Carlo: 99.8 % of prior rows
+#: settle there.
+LADDER = ((8, "depth8"), (12, "coarse"), (20, "depth20"))
 
-def margin_guard_band(vdd: float, coarse_iterations: int,
+
+def margin_guard_band(vdd: float, iterations: int,
                       exact_iterations: int, safety: float = 2.0) -> float:
-    """Safe screening threshold on coarse margins [V].
+    """Safe screening threshold on a rung's margins [V].
 
-    ``3 * (eps_coarse + eps_exact)`` per the error analysis above,
-    widened by ``safety``; a coarse margin whose magnitude exceeds this
-    has the same sign as the exact margin.
+    ``3 * (eps_rung + eps_exact)`` per the error analysis above,
+    widened by ``safety``; a margin solved to ``iterations`` steps whose
+    magnitude exceeds this has the same sign as the exact margin.
     """
     if safety < 1.0:
         raise ValueError("safety must be >= 1")
-    eps = vdd * (2.0 ** -(coarse_iterations + 1)
+    eps = vdd * (2.0 ** -(iterations + 1)
                  + 2.0 ** -(exact_iterations + 1))
     return safety * 3.0 * eps
 
 
 class AdaptiveMarginEvaluator(CellEvaluator):
-    """Cell evaluator with coarse-screen / exact-refine labelling.
+    """Cell evaluator that labels on the screening ladder.
 
     Drop-in replacement for :class:`~repro.sram.evaluator.CellEvaluator`
     (built by :func:`repro.perf.build_evaluator` when the
     :class:`~repro.perf.config.PerfConfig` enables adaptivity).  Margins
-    stay exact; only :meth:`failure_labels` takes the screened path, and
-    its labels match the exact path bit for bit by the guard-band
-    argument in the module docstring.
+    stay exact; only :meth:`failure_labels` takes the ladder, and its
+    labels match the exact path bit for bit by the guard-band argument
+    in the module docstring.  The ladder is :data:`LADDER`, not a
+    parameter.
 
     Parameters
     ----------
-    coarse_iterations:
-        Bisection depth of the screening solver (exact path: 40).
-    guard_safety:
-        Multiplier on the analytic error bound; >= 1.
     cache:
         Optional :class:`~repro.perf.cache.SolveCache` shared with the
-        exact path (coarse entries are stored under their own level
-        tag, so the two resolutions never mix).
+        exact path (each rung stores under its own level tag, so the
+        resolutions never mix).
     """
 
     def __init__(self, cell: SramCell, space: VariabilitySpace,
                  vdd: float | None = None, grid_points: int = 61,
                  margin_levels: int = 64, max_batch: int = 512,
-                 cache: SolveCache | None = None,
-                 coarse_iterations: int = 12, guard_safety: float = 2.0):
+                 cache: SolveCache | None = None):
         super().__init__(cell, space, vdd=vdd, grid_points=grid_points,
                          margin_levels=margin_levels, max_batch=max_batch,
                          cache=cache)
+        exact = self.solver.bisection_iterations
         # Same grid and margin levels as the exact solver: the guard
-        # band only bounds the bisection-depth error, so the screening
-        # pass must not introduce any other discretisation difference.
-        self.coarse_solver = ReadButterflySolver(
-            cell, vdd=vdd, grid_points=grid_points,
-            bisection_iterations=coarse_iterations)
-        self.guard_band = margin_guard_band(
-            self.vdd, coarse_iterations,
-            self.solver.bisection_iterations, guard_safety)
-        self.screened = 0
-        self.refined = 0
+        # band only bounds the bisection-depth error, so no rung may
+        # introduce any other discretisation difference.
+        #: ``(solver, cache level, guard band)`` per rung of LADDER
+        self.rungs = tuple(
+            (ReadButterflySolver(cell, vdd=vdd, grid_points=grid_points,
+                                 bisection_iterations=depth),
+             level, margin_guard_band(self.vdd, depth, exact))
+            for depth, level in LADDER)
+        #: rows labelled at each depth: the rungs', then the exact one
+        self.resolved = dict.fromkeys(
+            [depth for depth, _ in LADDER] + [exact], 0)
+
+    @property
+    def screened(self) -> int:
+        """Rows a rung labelled."""
+        return sum(self.resolved[depth] for depth, _ in LADDER)
+
+    @property
+    def refined(self) -> int:
+        """Rows that reached the exact depth."""
+        return self.resolved[self.solver.bisection_iterations]
 
     # ------------------------------------------------------------------
     def failure_labels(self, x: np.ndarray, which: str = "cell"
                        ) -> np.ndarray:
         """Fail labels, bit-identical to ``CellEvaluator``'s exact path.
 
-        Coarse-screens the whole batch, then refines only the rows whose
-        coarse margin falls inside the guard band.  Refinement *resumes*
-        the coarse bisection (see
-        :meth:`~repro.sram.butterfly.ReadButterflySolver.resume`) so an
-        in-band row costs only the remaining depth, not a from-scratch
-        exact solve.
+        Each ``max_batch``-row tile climbs the ladder: a rung labels the
+        rows whose margin clears its guard band, and the rest resume
+        from its brackets (see
+        :meth:`~repro.sram.butterfly.ReadButterflySolver.resume`) to the
+        next depth, so no row repeats a bisection step.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != 6:
@@ -130,78 +151,70 @@ class AdaptiveMarginEvaluator(CellEvaluator):
         labels = np.empty(x.shape[0], dtype=bool)
         for start in range(0, x.shape[0], self.max_batch):
             stop = start + self.max_batch
-            labels[start:stop] = self._label_chunk(x[start:stop], which)
+            labels[start:stop] = self._label_tile(
+                self.space.to_physical(x[start:stop]), which)
         return labels
 
-    def _label_chunk(self, chunk: np.ndarray, which: str) -> np.ndarray:
-        dvth = self.space.to_physical(chunk)
-        n = dvth.shape[0]
-        state = None
-        if self.cache is None:
-            curves, state = self.coarse_solver.solve_with_state(dvth)
-            c0, c1 = lobe_margins(curves, self.margin_levels)
-            solved = np.ones(n, dtype=bool)
-            state_index = np.arange(n)
-        else:
-            hit, c0, c1 = self.cache.lookup("coarse", dvth)
-            solved = ~hit
-            state_index = np.cumsum(solved) - 1
-            if solved.any():
-                curves, state = self.coarse_solver.solve_with_state(
-                    dvth[solved])
-                m0, m1 = lobe_margins(curves, self.margin_levels)
-                self.cache.store("coarse", dvth[solved], m0, m1)
-                c0[solved] = m0
-                c1[solved] = m1
-        margin = self._select_margin(c0, c1, which)
-        labels = margin < 0.0
-        uncertain = np.abs(margin) <= self.guard_band
-        self.screened += int(n - uncertain.sum())
-        if uncertain.any():
-            rows = np.flatnonzero(uncertain)
-            self.refined += rows.size
-            e0, e1 = self._refine(dvth, rows, solved, state, state_index)
-            labels[rows] = self._select_margin(e0, e1, which) < 0.0
+    def _label_tile(self, dvth: np.ndarray, which: str) -> np.ndarray:
+        labels = np.empty(dvth.shape[0], dtype=bool)
+        rows = np.arange(dvth.shape[0])  # tile rows not labelled yet
+        parts: list = []  # (tile rows, brackets) from the previous rung
+        for solver, level, band in self.rungs:
+            margin, parts = self._rung(solver, level, dvth, rows, parts,
+                                       which)
+            settled = np.abs(margin) > band
+            labels[rows[settled]] = margin[settled] < 0.0
+            self.resolved[solver.bisection_iterations] += int(
+                settled.sum())
+            rows = rows[~settled]
+            if rows.size == 0:
+                return labels
+        margin, _ = self._rung(self.solver, "exact", dvth, rows, parts,
+                               which)
+        labels[rows] = margin < 0.0
+        self.resolved[self.solver.bisection_iterations] += rows.size
         return labels
 
-    def _refine(self, dvth, rows, solved, state, state_index):
-        """Exact margins for the chunk rows ``rows``.
+    def _rung(self, solver: ReadButterflySolver, level: str,
+              dvth: np.ndarray, rows: np.ndarray,
+              parts: list[tuple[np.ndarray, BisectionState]], which: str):
+        """Margins of the tile rows ``rows`` at ``solver``'s depth.
 
-        Exact-level cache hits return as-is; solves resume from the
-        coarse brackets where this call produced them (rows whose coarse
-        margin was itself a cache hit have no brackets and re-solve from
-        scratch).  Every branch yields the same bits, so which one a row
-        takes is purely a cost matter.
+        With a cache, rows stored under ``level`` skip the solver.  A
+        missed row resumes from its brackets in ``parts`` -- the
+        ``(tile rows, BisectionState)`` pairs the previous rung solved
+        -- and a row without any solves from scratch to this depth.
+        Every branch yields the same bits, so which one a row takes is
+        purely a cost matter.  Returns the ``which`` margins of ``rows``
+        and this rung's own ``parts``.
         """
-        m0 = np.empty(rows.size)
-        m1 = np.empty(rows.size)
-        pending = np.ones(rows.size, dtype=bool)
+        m0 = np.empty(dvth.shape[0])
+        m1 = np.empty(dvth.shape[0])
+        todo = np.zeros(dvth.shape[0], dtype=bool)
+        todo[rows] = True
         if self.cache is not None:
-            hit, h0, h1 = self.cache.lookup("exact", dvth[rows])
-            m0[hit] = h0[hit]
-            m1[hit] = h1[hit]
-            pending = ~hit
-        if pending.any():
-            sub = rows[pending]
-            out0 = np.empty(sub.size)
-            out1 = np.empty(sub.size)
-            warm = solved[sub]
-            if warm.any():
-                ids = sub[warm]
-                curves = self.solver.resume(dvth[ids],
-                                            state.rows(state_index[ids]))
-                out0[warm], out1[warm] = lobe_margins(curves,
-                                                      self.margin_levels)
-            if not warm.all():
-                cold = ~warm
-                curves = self.solver.solve(dvth[sub[cold]])
-                out0[cold], out1[cold] = lobe_margins(curves,
-                                                      self.margin_levels)
+            hit, h0, h1 = self.cache.lookup(level, dvth[rows])
+            m0[rows[hit]] = h0[hit]
+            m1[rows[hit]] = h1[hit]
+            todo[rows[hit]] = False
+        solved = []
+        for ids, state in parts:
+            take = todo[ids]
+            if not take.any():
+                continue
+            if not take.all():
+                ids, state = ids[take], state.rows(np.flatnonzero(take))
+            solved.append((ids, *solver.resume(dvth[ids], state)))
+            todo[ids] = False
+        if todo.any():
+            ids = np.flatnonzero(todo)
+            solved.append((ids, *solver.solve_with_state(dvth[ids])))
+        for ids, curves, _ in solved:
+            m0[ids], m1[ids] = lobe_margins(curves, self.margin_levels)
             if self.cache is not None:
-                self.cache.store("exact", dvth[sub], out0, out1)
-            m0[pending] = out0
-            m1[pending] = out1
-        return m0, m1
+                self.cache.store(level, dvth[ids], m0[ids], m1[ids])
+        margin = self._select_margin(m0[rows], m1[rows], which)
+        return margin, [(ids, state) for ids, _, state in solved]
 
     def _local_perf_stats(self) -> dict:
         stats = super()._local_perf_stats()
@@ -210,12 +223,16 @@ class AdaptiveMarginEvaluator(CellEvaluator):
         return stats
 
     def _fingerprint_seed(self) -> int:
-        # Coarse-level cache entries depend on the screening depth, so
-        # it participates in the fingerprint; adaptive and plain
-        # evaluators therefore never share a cache file.
-        return stable_seed(super()._fingerprint_seed(), "coarse",
-                           self.coarse_solver.bisection_iterations)
+        # Pinned to the 12-step rung's level and depth: service job
+        # fingerprints hash this seed, so adding rungs must not move it.
+        # The other rungs' level tags name their depths and the ladder
+        # is a module constant, so the pair still pins what every cache
+        # entry means; adaptive and plain evaluators never share a
+        # cache file.
+        depth = next(d for d, level in LADDER if level == "coarse")
+        return stable_seed(super()._fingerprint_seed(), "coarse", depth)
 
     @property
     def device_model_evals(self) -> int:
-        return super().device_model_evals + self.coarse_solver.model_evals
+        return super().device_model_evals + sum(
+            solver.model_evals for solver, _, _ in self.rungs)

@@ -1,10 +1,22 @@
 """The simulation memo cache.
 
 :class:`SolveCache` memoises butterfly-solve results keyed on the exact
-ΔVth bytes of each sample plus a *fingerprint* of everything else that
+ΔVth bytes of each sample and a *level* -- the bisection depth the
+margins were solved to -- plus a *fingerprint* of everything else that
 determines the solve (cell parameter cards, geometry, supply, grid,
-margin levels, bisection depths).  A hit returns the exact floats the
-original solve produced, so cached and uncached runs are bit-identical.
+margin levels).  A hit returns the exact floats the original solve
+produced, so cached and uncached runs are bit-identical.  The levels,
+in their on-disk order (:data:`LEVELS`):
+
+* ``"exact"`` -- 40 steps, the depth
+  :meth:`~repro.sram.evaluator.CellEvaluator.margins` returns;
+* ``"coarse"`` -- 12 steps, the middle rung of the screening ladder
+  (:data:`repro.perf.adaptive.LADDER`);
+* ``"depth8"`` and ``"depth20"`` -- 8 and 20 steps, its other rungs.
+
+Entries hold margins, never labels, so the ``cell`` and ``lobe0``
+failure criteria share them.  A file written before the 8- and 20-step
+rungs existed holds only levels 0 and 1, and still loads and hits.
 
 A hit needs the same rows.  Independent draws do not repeat one:
 quick ECRIPSE estimates measured 0 hits in 1,601-2,153 lookups each,
@@ -35,8 +47,9 @@ from pathlib import Path
 
 import numpy as np
 
-#: resolution levels a cache entry may be stored at.
-LEVELS = ("exact", "coarse")
+#: the resolution levels of the module docstring, in on-disk order: a
+#: level's position is its on-disk index, so levels are only appended.
+LEVELS = ("exact", "coarse", "depth8", "depth20")
 
 
 class SolveCache:
@@ -187,6 +200,10 @@ class SolveCache:
             raise ValueError(
                 f"inconsistent cache snapshot shapes: keys {keys.shape}, "
                 f"values {values.shape}, levels {levels.shape}")
+        if levels.size and int(levels.max()) >= len(LEVELS):
+            # written by a version with more levels than this one knows
+            raise ValueError(
+                f"unknown cache level index {int(levels.max())}")
         with self._lock:
             self.max_entries = int(state["max_entries"])
             self.hits = int(state["hits"])

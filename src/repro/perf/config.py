@@ -2,8 +2,9 @@
 
 :class:`PerfConfig` selects how aggressively the margin evaluator may
 trade per-sample work for speed.  Every setting is *result-neutral* by
-construction: the adaptive screen refines anything inside a provably
-safe guard band (see :mod:`repro.perf.adaptive`) and the solve cache
+construction: each rung of the adaptive screening ladder labels only
+rows outside a provably safe guard band and passes the rest to a deeper
+rung (see :mod:`repro.perf.adaptive`), and the solve cache
 returns the exact floats a fresh solve would produce, so estimates are
 bit-identical whether acceleration is on or off.  The config therefore
 deliberately does **not** participate in checkpoint fingerprints, just
@@ -22,12 +23,12 @@ class PerfConfig:
     Parameters
     ----------
     adaptive:
-        Screen every batch on a reduced-bisection-depth solve and refine
-        only samples whose coarse margin falls inside the guard band
-        (default on; ``False`` restores the fixed-budget exact path).
-        The screening depth and the guard-band safety factor are the
-        keyword defaults of
-        :class:`~repro.perf.adaptive.AdaptiveMarginEvaluator`.
+        Label every batch on the screening ladder of
+        :class:`~repro.perf.adaptive.AdaptiveMarginEvaluator` -- 8, 12
+        and 20 bisection steps, then the exact 40 for rows no rung could
+        label (default on; ``False`` restores the fixed-budget exact
+        path).  The ladder and the guard band's safety factor are
+        module constants, not settings.
     cache_path:
         Optional directory for the :class:`~repro.perf.cache.SolveCache`
         (``--solve-cache``).  Without it the evaluator has no cache;

@@ -151,7 +151,16 @@ class ServiceDaemon:
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> str:
-        """Recover state, spawn workers, bind HTTP; returns base URL."""
+        """Recover state, spawn workers, bind HTTP; returns base URL.
+
+        A daemon shut down earlier in this process leaves the
+        process-wide shutdown coordinator tripped; ``start`` clears it,
+        or this daemon's workers and watchdog would exit at once.
+        """
+        self.coordinator.reset()
+        return self._launch()
+
+    def _launch(self) -> str:
         if self.config.chaos.inject_fs:
             # test/CI only: route every durable write through the
             # deterministic fault schedule until shutdown
@@ -207,7 +216,8 @@ class ServiceDaemon:
         self.coordinator.reset()
         self.coordinator.install()
         try:
-            self.start()
+            # not start(): a signal caught since install() must stand
+            self._launch()
             print(f"ecripse service listening on {self.address}",
                   flush=True)
             self.coordinator.wait()

@@ -131,14 +131,6 @@ class JobStore:
                 continue
         return records
 
-    def find_by_fingerprint(self, fingerprint: str) -> JobRecord | None:
-        """Newest record sharing ``fingerprint``, if any."""
-        match = None
-        for record in self.list_jobs():
-            if record.fingerprint == fingerprint:
-                match = record
-        return match
-
     def job_dir(self, job_id: str) -> Path:
         if ("/" in job_id or "\\" in job_id or job_id.startswith(".")
                 or not job_id):

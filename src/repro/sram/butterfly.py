@@ -54,33 +54,39 @@ class ButterflyCurves:
 class BisectionState:
     """Bracket arrays of a partially-converged butterfly solve.
 
-    ``side_a``/``side_b`` hold the ``(lo, hi)`` bracket pair, each of
-    shape (B, G), after ``iterations`` bisection steps.  Because
-    bisection is deterministic, a deeper solver can
+    ``lo``/``hi`` hold the brackets in the solver's fused ``(2B, G)``
+    layout -- rows ``[:B]`` are side A, rows ``[B:]`` side B -- after
+    ``iterations`` bisection steps.  Because bisection is
+    deterministic, a deeper solver can
     :meth:`~ReadButterflySolver.resume` from these brackets and land on
     exactly the curves its own from-scratch solve would produce.
     """
 
-    side_a: tuple[np.ndarray, np.ndarray]
-    side_b: tuple[np.ndarray, np.ndarray]
+    lo: np.ndarray
+    hi: np.ndarray
     iterations: int
 
+    @property
+    def batch_size(self) -> int:
+        return self.lo.shape[0] // 2
+
     def rows(self, index: np.ndarray) -> "BisectionState":
-        """Bracket copies for a row subset (fancy indexing copies)."""
-        return BisectionState(
-            (self.side_a[0][index], self.side_a[1][index]),
-            (self.side_b[0][index], self.side_b[1][index]),
-            self.iterations)
+        """Bracket copies for the cells at integer positions ``index``:
+        one fancy-index copy per bracket array, both sides at once."""
+        index = np.asarray(index, dtype=np.intp)
+        both = np.concatenate([index, index + self.batch_size])
+        return BisectionState(self.lo[both], self.hi[both], self.iterations)
 
 
 class ReadButterflySolver:
     """Batch butterfly solver for one cell design at one supply voltage.
 
     Both butterfly sides run as one fused ``(2B, G)`` bisection (see
-    :meth:`_solve_fused`), which requires a side-symmetric cell: L1/D1/A1
-    and L2/D2/A2 must share parameter cards and geometry.  Every cell
-    built from a role-based :class:`~repro.config.CellGeometry` is;
-    anything else is rejected at construction.
+    :meth:`_solve_with_state`), which requires a side-symmetric cell:
+    L1/D1/A1 and L2/D2/A2 must share parameter cards and geometry.
+    Every cell built from a role-based
+    :class:`~repro.config.CellGeometry` is; anything else is rejected
+    at construction.
 
     Parameters
     ----------
@@ -140,9 +146,7 @@ class ReadButterflySolver:
             Per-device threshold shifts [V], shape (B, 6) following
             :data:`repro.config.DEVICE_ORDER`.
         """
-        vtc_a, vtc_b = self._solve_fused(self._check_shifts(delta_vth))
-        return ButterflyCurves(grid=self.grid, vtc_a=vtc_a, vtc_b=vtc_b,
-                               vdd=self.vdd)
+        return self._solve_with_state(self._check_shifts(delta_vth))[0]
 
     def solve_with_state(self, delta_vth: np.ndarray
                          ) -> tuple[ButterflyCurves, BisectionState]:
@@ -150,25 +154,22 @@ class ReadButterflySolver:
 
         The state lets a deeper solver :meth:`resume` the bisection
         instead of re-solving from scratch (the adaptive evaluator's
-        refinement path).
+        screening ladder).
         """
-        (vtc_a, vtc_b), (side_a, side_b) = self._solve_fused(
-            self._check_shifts(delta_vth), keep_state=True)
-        curves = ButterflyCurves(grid=self.grid, vtc_a=vtc_a, vtc_b=vtc_b,
-                                 vdd=self.vdd)
-        return curves, BisectionState(side_a, side_b,
-                                      self.bisection_iterations)
+        return self._solve_with_state(self._check_shifts(delta_vth))
 
-    def resume(self, delta_vth: np.ndarray,
-               state: BisectionState) -> ButterflyCurves:
+    def resume(self, delta_vth: np.ndarray, state: BisectionState
+               ) -> tuple[ButterflyCurves, BisectionState]:
         """Continue a shallower solve to this solver's full depth.
 
         The first ``state.iterations`` steps of a from-scratch solve
         compute exactly the brackets ``state`` holds (same initial
         interval, same deterministic comparisons), so the returned
         curves are bit-identical to ``solve(delta_vth)`` at the cost of
-        only the remaining steps.  ``state`` is consumed: its arrays
-        are updated in place.
+        only the remaining steps.  The returned state holds the brackets
+        at this solver's depth, so a deeper solver can resume again.
+        ``state`` is consumed: its arrays are updated in place and
+        become the returned state's.
         """
         delta_vth = self._check_shifts(delta_vth)
         extra = self.bisection_iterations - state.iterations
@@ -176,12 +177,12 @@ class ReadButterflySolver:
             raise ValueError(
                 f"cannot resume a {state.iterations}-step solve with a "
                 f"{self.bisection_iterations}-step solver")
-        start = (np.concatenate([state.side_a[0], state.side_b[0]]),
-                 np.concatenate([state.side_a[1], state.side_b[1]]))
-        vtc_a, vtc_b = self._solve_fused(delta_vth, start=start,
-                                         iterations=extra)
-        return ButterflyCurves(grid=self.grid, vtc_a=vtc_a, vtc_b=vtc_b,
-                               vdd=self.vdd)
+        if state.batch_size != delta_vth.shape[0]:
+            raise ValueError(
+                f"state holds {state.batch_size} cells, delta_vth "
+                f"{delta_vth.shape[0]}")
+        return self._solve_with_state(delta_vth, (state.lo, state.hi),
+                                      extra)
 
     def solve_side(self, side: int, delta_vth: np.ndarray,
                    bl_voltage: float | None = None,
@@ -236,19 +237,20 @@ class ReadButterflySolver:
         return self._bisect(models, delta_vth[:, idx[0], None],
                             delta_vth[:, idx[1], None],
                             delta_vth[:, idx[2], None],
-                            bl_voltage, wl_voltage)
+                            bl_voltage, wl_voltage)[0]
 
-    def _solve_fused(self, delta_vth: np.ndarray,
-                     start: tuple[np.ndarray, np.ndarray] | None = None,
-                     iterations: int | None = None,
-                     keep_state: bool = False):
+    def _solve_with_state(self, delta_vth: np.ndarray,
+                          start: tuple[np.ndarray, np.ndarray] | None = None,
+                          iterations: int | None = None
+                          ) -> tuple[ButterflyCurves, BisectionState]:
         """Both sides as one (2B, G) bisection; rows [:B] are side A.
 
         Valid because the cell is side-symmetric (checked at
         construction): with identical device models, stacking side B's
         shift columns under side A's gives per-row results bit-identical
         to the two :meth:`solve_side` solves, because every bisection op
-        is elementwise over rows.
+        is elementwise over rows.  ``start`` brackets are in the same
+        fused layout, so a resume stacks nothing.
         """
         batch = delta_vth.shape[0]
         idx_a, idx_b = self._sides
@@ -259,18 +261,16 @@ class ReadButterflySolver:
         dv_access = np.concatenate(
             [delta_vth[:, idx_a[2]], delta_vth[:, idx_b[2]]])[:, None]
         models = tuple(self.cell.model(n) for n in self._side_names[0])
-        result = self._bisect(models, dv_load, dv_driver, dv_access,
-                              None, None, start, iterations, keep_state)
-        if keep_state:
-            mid, (lo, hi) = result
-            return ((mid[:batch], mid[batch:]),
-                    ((lo[:batch], hi[:batch]), (lo[batch:], hi[batch:])))
-        return result[:batch], result[batch:]
+        mid, lo, hi = self._bisect(models, dv_load, dv_driver, dv_access,
+                                   None, None, start, iterations)
+        curves = ButterflyCurves(grid=self.grid, vtc_a=mid[:batch],
+                                 vtc_b=mid[batch:], vdd=self.vdd)
+        return curves, BisectionState(lo, hi, self.bisection_iterations)
 
     def _bisect(self, models, dv_load, dv_driver, dv_access,
-                bl_voltage, wl_voltage, start=None, iterations=None,
-                keep_state=False):
-        """Shared bisection engine over an (N, G) bracket block.
+                bl_voltage, wl_voltage, start=None, iterations=None):
+        """Shared bisection engine over an (N, G) bracket block; returns
+        the midpoints and the final ``lo``/``hi`` brackets.
 
         Maintains the invariant ``0 <= lo <= mid <= hi <= vdd`` (the
         initial brackets span ``[0, vdd]`` and every update replaces an
@@ -326,6 +326,4 @@ class ReadButterflySolver:
             self.model_evals += batch * grid_size
         np.add(lo, hi, out=mid)
         mid *= 0.5
-        if keep_state:
-            return mid, (lo, hi)
-        return mid
+        return mid, lo, hi

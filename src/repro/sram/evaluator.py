@@ -86,8 +86,8 @@ class CellEvaluator:
         """Chunked, cache-aware lobe margins through ``solver``.
 
         Each cache entry is keyed on the exact physical-ΔVth bytes under
-        ``level`` ("exact" or "coarse"); only missed rows hit the
-        solver.  The butterfly bisection and the margin extraction are
+        ``level`` (one of :data:`repro.perf.cache.LEVELS`, naming
+        ``solver``'s depth); only missed rows hit the solver.  The butterfly bisection and the margin extraction are
         row-independent elementwise numpy ops, so solving a sub-batch
         of missed rows returns the same bits a full-batch solve would.
         """
@@ -148,9 +148,8 @@ class CellEvaluator:
         """Boolean failure labels (margin < 0) for whitened points.
 
         The label entry point the indicators funnel through; the
-        adaptive subclass overrides it with the coarse-screen /
-        exact-refine path while this base implementation is the plain
-        exact sign.
+        adaptive subclass overrides it with the screening ladder while
+        this base implementation is the plain exact sign.
         """
         rnm0, rnm1 = self.margins(x)
         return self._select_margin(rnm0, rnm1, which) < 0.0

@@ -1,15 +1,29 @@
-"""Adaptive evaluator: guard band math and label bit-identity."""
+"""Adaptive evaluator: guard band math, the screening ladder and label
+bit-identity."""
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.config import TABLE_I
 from repro.experiments.setup import paper_setup
 from repro.perf import PerfConfig, build_evaluator
-from repro.perf.adaptive import AdaptiveMarginEvaluator, margin_guard_band
-from repro.perf.cache import SolveCache
+from repro.perf.adaptive import (LADDER, AdaptiveMarginEvaluator,
+                                 margin_guard_band)
+from repro.perf.cache import LEVELS, SolveCache
+from repro.rtn.model import RtnModel
 from repro.sram.evaluator import CellEvaluator
+
+#: ``solve_fingerprint()`` of the default adaptive evaluator (0.7 V,
+#: 61 grid points, 64 margin levels) since the screen had one 12-step
+#: rung; service job fingerprints hash it.
+PINNED_SOLVE_FINGERPRINT = "2720a02df5060082"
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +37,20 @@ def mixed_batch(rng, n):
     """Bulk samples plus far-tail samples straddling the boundary."""
     return np.vstack([rng.normal(size=(n, 6)),
                       rng.normal(scale=3.0, size=(n, 6))])
+
+
+def boundary_points(exact, rng, n):
+    """``n`` points on the cell's failure boundary, found by radial
+    bisection of the exact labels along random directions."""
+    directions = rng.standard_normal((n, 6))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    lo, hi = np.zeros(n), np.full(n, 10.0)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        failed = exact.failure_labels(directions * mid[:, None], "cell")
+        hi = np.where(failed, mid, hi)
+        lo = np.where(failed, lo, mid)
+    return directions * (0.5 * (lo + hi))[:, None]
 
 
 class TestGuardBand:
@@ -41,14 +69,15 @@ class TestGuardBand:
             margin_guard_band(0.7, 12, 40, safety=0.5)
 
     def test_coarse_margin_error_within_band(self, evaluators, rng):
-        """The analytic bound actually holds on sampled data."""
+        """The analytic bound actually holds on sampled data, at every
+        rung of the ladder."""
         exact, fast = evaluators
         x = mixed_batch(rng, 300)
         e0, e1 = exact.margins(x)
-        c0, c1 = fast._margins_at(x, fast.coarse_solver, "coarse")
-        band = fast.guard_band
-        assert np.max(np.abs(c0 - e0)) < band
-        assert np.max(np.abs(c1 - e1)) < band
+        for solver, level, band in fast.rungs:
+            c0, c1 = fast._margins_at(x, solver, level)
+            assert np.max(np.abs(c0 - e0)) < band
+            assert np.max(np.abs(c1 - e1)) < band
 
 
 class TestLabelBitIdentity:
@@ -99,6 +128,9 @@ class TestLabelBitIdentity:
         fast.failure_labels(x, "cell")
         assert fast.device_model_evals < 0.5 * exact.device_model_evals
         assert fast.screened > 0.9 * x.shape[0]
+        # each row counts once, at the depth that labelled it
+        assert fast.screened + fast.refined == x.shape[0]
+        assert fast.resolved[LADDER[0][0]] > 0.9 * x.shape[0]
 
 
 class TestCachedAdaptive:
@@ -116,6 +148,77 @@ class TestCachedAdaptive:
         assert np.array_equal(again, labels)
         assert fast.device_model_evals == evals_before
         assert fast.cache.hit_rate > 0.0
+
+    def test_criteria_share_margins_and_mixed_rungs_stay_exact(
+            self, paper_cell, paper_space, rng, monkeypatch):
+        """A warm cache holds margins, not labels: switching criterion
+        hits on some rows and solves others -- rows that hit the
+        previous rung solve from scratch, the rest resume, both within
+        one rung -- without moving a label."""
+        exact = CellEvaluator(paper_cell, paper_space)
+        fast = AdaptiveMarginEvaluator(paper_cell, paper_space)
+        fast.cache = SolveCache(fast.solve_fingerprint())
+        near = boundary_points(exact, rng, 30)
+        x = np.vstack([mixed_batch(rng, 100), near * 0.9999, near * 1.001])
+        fast.failure_labels(x[::2], "lobe0")
+
+        coarse = fast.rungs[1][0]
+        calls = []
+        for name in ("resume", "solve_with_state"):
+            method = getattr(coarse, name)
+            monkeypatch.setattr(coarse, name,
+                                lambda *a, _m=method, _n=name:
+                                calls.append(_n) or _m(*a))
+        for which in ("cell", "lobe0", "cell"):
+            assert np.array_equal(fast.failure_labels(x, which),
+                                  exact.failure_labels(x, which))
+        assert sorted(calls) == ["resume", "solve_with_state"]
+        evals_before = fast.device_model_evals
+        for which in ("cell", "lobe0"):
+            fast.failure_labels(x, which)
+        assert fast.device_model_evals == evals_before
+
+    def test_parent_format_cache_file_loads_and_hits(self, paper_cell,
+                                                     paper_space, rng,
+                                                     tmp_path):
+        """A file holding only levels 0 and 1 ("exact" and "coarse"),
+        as written before the 8- and 20-step rungs, loads and hits."""
+        import repro.perf as perf_pkg
+
+        fast = AdaptiveMarginEvaluator(paper_cell, paper_space)
+        x = mixed_batch(rng, 40)
+        dvth = paper_space.to_physical(x)
+        coarse = fast._margins_at(x, fast.rungs[1][0], "coarse")
+        exact = fast.margins(x)
+        fingerprint = fast.solve_fingerprint()
+        np.savez(tmp_path / f"solve-cache-{fingerprint}.npz",
+                 meta=np.array([100_000, 0, 0, 0], dtype=np.int64),
+                 fingerprint=np.frombuffer(fingerprint.encode(),
+                                           dtype=np.uint8),
+                 levels=np.repeat(np.array([1, 0], dtype=np.uint8),
+                                  x.shape[0]),
+                 keys=np.vstack([dvth, dvth]),
+                 values=np.vstack([np.column_stack(coarse),
+                                   np.column_stack(exact)]))
+        perf_pkg._REGISTERED_CACHES.clear()
+        try:
+            loaded = build_evaluator(paper_cell, paper_space,
+                                     perf=PerfConfig(cache_path=str(
+                                         tmp_path)))
+            assert len(loaded.cache) == 2 * x.shape[0]
+            for level, want in (("coarse", coarse), ("exact", exact)):
+                hit, m0, m1 = loaded.cache.lookup(level, dvth)
+                assert hit.all()
+                assert np.array_equal(m0, want[0])
+                assert np.array_equal(m1, want[1])
+            hits = loaded.cache.hits
+            labels = loaded.failure_labels(x, "cell")
+            assert loaded.cache.hits > hits  # the ladder's lookups hit
+            assert np.array_equal(labels,
+                                  CellEvaluator(paper_cell, paper_space)
+                                  .failure_labels(x, "cell"))
+        finally:
+            perf_pkg._REGISTERED_CACHES.clear()
 
     def test_perf_stats_include_screen_and_cache(self, paper_cell,
                                                  paper_space, rng):
@@ -135,12 +238,11 @@ class TestFingerprints:
         fast = AdaptiveMarginEvaluator(paper_cell, paper_space)
         assert plain.solve_fingerprint() != fast.solve_fingerprint()
 
-    def test_coarse_depth_participates(self, paper_cell, paper_space):
-        a = AdaptiveMarginEvaluator(paper_cell, paper_space,
-                                    coarse_iterations=12)
-        b = AdaptiveMarginEvaluator(paper_cell, paper_space,
-                                    coarse_iterations=16)
-        assert a.solve_fingerprint() != b.solve_fingerprint()
+    def test_default_fingerprint_is_pinned(self, paper_cell, paper_space):
+        fast = AdaptiveMarginEvaluator(paper_cell, paper_space)
+        assert fast.solve_fingerprint() == PINNED_SOLVE_FINGERPRINT
+        assert paper_setup().evaluator.solve_fingerprint() == \
+            PINNED_SOLVE_FINGERPRINT
 
     def test_same_config_same_fingerprint(self, paper_cell, paper_space):
         a = CellEvaluator(paper_cell, paper_space)
@@ -183,10 +285,99 @@ class TestBuildEvaluator:
         assert fresh.cache is not ev.cache
         assert len(fresh.cache) == len(ev.cache) > 0
 
-    def test_config_validation(self, paper_cell, paper_space):
-        with pytest.raises(ValueError):
-            AdaptiveMarginEvaluator(paper_cell, paper_space,
-                                    coarse_iterations=4)
-        with pytest.raises(ValueError):
-            AdaptiveMarginEvaluator(paper_cell, paper_space,
-                                    guard_safety=0.5)
+    def test_ladder_is_not_a_knob(self, paper_cell, paper_space):
+        params = inspect.signature(AdaptiveMarginEvaluator).parameters
+        assert "coarse_iterations" not in params
+        assert "guard_safety" not in params
+        assert [f.name for f in dataclasses.fields(PerfConfig)] == [
+            "adaptive", "cache_path"]
+        fast = AdaptiveMarginEvaluator(paper_cell, paper_space)
+        depths = [solver.bisection_iterations for solver, _, _
+                  in fast.rungs]
+        bands = [band for _, _, band in fast.rungs]
+        # shallowest first, from the solver's floor, below the exact depth
+        assert depths == [depth for depth, _ in LADDER] == [8, 12, 20]
+        assert depths[-1] < fast.solver.bisection_iterations
+        assert bands == sorted(bands, reverse=True)
+        assert bands == [margin_guard_band(fast.vdd, depth, 40)
+                         for depth in depths]
+        # "coarse" and "exact" keep their on-disk level indices
+        assert LEVELS[:2] == ("exact", "coarse")
+        assert sorted(level for _, level in LADDER) == sorted(LEVELS[1:])
+
+
+# ----------------------------------------------------------------------
+# ladder properties: derandomized draws of prior, near-boundary and
+# RTN-shifted rows at the nominal and a low supply
+# ----------------------------------------------------------------------
+ROWS = 48
+
+
+class LadderCase:
+    """Exact and ladder evaluators at one supply, plus failure-boundary
+    points found by radial bisection on the exact cell margin."""
+
+    def __init__(self, cell, space, vdd):
+        self.vdd = vdd
+        self.exact = CellEvaluator(cell, space, vdd=vdd)
+        self.fast = AdaptiveMarginEvaluator(cell, space, vdd=vdd)
+        self.rtn = RtnModel(TABLE_I, space, alpha=0.5)
+        self.boundary = boundary_points(self.exact,
+                                        np.random.default_rng(7), 32)
+
+    def rows(self, kind: str, seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        if kind == "prior":
+            return rng.standard_normal((ROWS, 6))
+        # radial offsets from 1e-7 to 5 %, either side of the boundary
+        scale = 1.0 + rng.choice([-1.0, 1.0], ROWS) * 10.0 ** rng.uniform(
+            -7.0, np.log10(0.05), ROWS)
+        x = self.boundary[rng.integers(0, len(self.boundary), ROWS)]
+        x = x * scale[:, None]
+        if kind == "rtn":
+            shifts, states = self.rtn.sample(ROWS, rng)
+            x = self.rtn.mirror(x + shifts, states)
+        return x
+
+
+@pytest.fixture(scope="module", params=[0.7, 0.5], ids=["0.7V", "0.5V"])
+def case(request, paper_cell, paper_space):
+    return LadderCase(paper_cell, paper_space, request.param)
+
+
+KINDS = st.sampled_from(["prior", "near", "rtn"])
+SEEDS = st.integers(0, 2 ** 32 - 1)
+LADDER_SETTINGS = settings(derandomize=True, max_examples=25,
+                           deadline=None)
+
+
+class TestLadderProperties:
+    @given(kind=KINDS, seed=SEEDS)
+    @LADDER_SETTINGS
+    def test_rung_margins_within_safety_one_bound(self, case, kind, seed):
+        """``|m_d - m_40| <= margin_guard_band(vdd, d, 40, safety=1)`` at
+        every rung: the analytic bound itself, without the factor 2."""
+        x = case.rows(kind, seed)
+        e0, e1 = case.exact.margins(x)
+        for solver, level, _ in case.fast.rungs:
+            bound = margin_guard_band(case.vdd, solver.bisection_iterations,
+                                      40, safety=1.0)
+            m0, m1 = case.fast._margins_at(x, solver, level)
+            assert np.max(np.abs(m0 - e0)) <= bound
+            assert np.max(np.abs(m1 - e1)) <= bound
+
+    @given(kind=KINDS, seed=SEEDS)
+    @LADDER_SETTINGS
+    def test_ladder_labels_match_exact_path(self, case, kind, seed):
+        x = case.rows(kind, seed)
+        for which in ("cell", "lobe0"):
+            assert np.array_equal(case.fast.failure_labels(x, which),
+                                  case.exact.failure_labels(x, which))
+
+    def test_every_depth_labels_rows(self, case):
+        """The draws above reach every rung and the exact depth."""
+        fast = AdaptiveMarginEvaluator(case.exact.cell, case.exact.space,
+                                       vdd=case.vdd)
+        for seed in range(4):
+            fast.failure_labels(case.rows("near", seed), "cell")
+        assert all(count > 0 for count in fast.resolved.values())

@@ -168,6 +168,22 @@ class TestPersistence:
         cache = SolveCache.load(tmp_path, "fp")
         assert len(cache) == 0
 
+    def test_load_unknown_level_file_degrades_to_empty(self, rng,
+                                                       tmp_path):
+        # a file from a version with more levels than this one knows
+        cache = SolveCache("fp")
+        cache.store("depth20", rows(rng, 2), np.zeros(2), np.zeros(2))
+        state = cache.state()
+        state["levels"][:] = 9
+        with pytest.raises(ValueError, match="unknown cache level"):
+            SolveCache("fp").restore_state(state)
+        np.savez(SolveCache._file(tmp_path, "fp"),
+                 meta=np.zeros(4, dtype=np.int64),
+                 fingerprint=np.frombuffer(b"fp", dtype=np.uint8),
+                 levels=state["levels"], keys=state["keys"],
+                 values=state["values"])
+        assert len(SolveCache.load(tmp_path, "fp")) == 0
+
     def test_load_other_fingerprint_file_refused(self, rng, tmp_path):
         cache = SolveCache("fp-a")
         cache.store("exact", rows(rng, 2), np.zeros(2), np.zeros(2))

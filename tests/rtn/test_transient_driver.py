@@ -59,12 +59,16 @@ class TestShifts:
     def test_average_occupancy_tracks_stationary(self):
         """Time-averaged occupied-trap fraction approaches the stationary
         occupancy used by the analytic model."""
-        driver = RtnTransientDriver(TABLE_I, alpha=0.0, duration=3000.0,
-                                    seed=11)
         name = "D1"  # always-ON at alpha=0: occupancy ~0.99
-        n_traps = driver.trap_counts()[name]
-        if n_traps == 0:
-            pytest.skip("no traps drawn for D1 with this seed")
+        # the first seed whose draw has a D1 trap to average over
+        for seed in range(20):
+            driver = RtnTransientDriver(TABLE_I, alpha=0.0,
+                                        duration=3000.0, seed=seed)
+            n_traps = driver.trap_counts()[name]
+            if n_traps > 0:
+                break
+        else:
+            pytest.fail("no seed in 0..19 draws a D1 trap")
         times = np.linspace(0.0, driver.duration * 0.999, 4000)
         occupied = [driver.shifts_at(t)[name] / driver.shift_per_trap[name]
                     for t in times]

@@ -215,6 +215,34 @@ class TestWatchdogLive:
             daemon.shutdown()
 
 
+class TestRestartInProcess:
+    def test_daemon_started_after_a_shutdown_runs_jobs_and_sweeps(
+            self, tmp_path):
+        # The first daemon's shutdown trips the process-wide coordinator;
+        # nothing resets it before the second daemon starts.
+        config = dict(port=0, workers=1, chaos=ChaosConfig(lease_s=0.4))
+        first = ServiceDaemon(ServeConfig(root=tmp_path / "first",
+                                          **config))
+        first.start()
+        first.shutdown()
+        assert first.coordinator.requested
+
+        second = ServiceDaemon(ServeConfig(root=tmp_path / "second",
+                                           **config))
+        second.start()
+        try:
+            record = second.submit({"kind": "array", "pfail": 1e-9})
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and not (
+                    second.store.load(record.id).state is JobState.DONE
+                    and second.stats()["watchdog"]["sweeps"] >= 1):
+                time.sleep(0.02)
+            assert second.store.load(record.id).state is JobState.DONE
+            assert second.stats()["watchdog"]["sweeps"] >= 1
+        finally:
+            second.shutdown()
+
+
 class TestHealthz:
     def test_stats_report_lease_and_dead_letter_counters(self, tmp_path,
                                                          monkeypatch):

@@ -75,13 +75,6 @@ class TestRecords:
         (store.job_dir(bad.id) / "job.json").write_text("{not json")
         assert [r.id for r in store.list_jobs()] == ["job-000001"]
 
-    def test_find_by_fingerprint_returns_newest(self, store):
-        store.create_job(JobSpec(), "shared", at=1.0)
-        newer = store.create_job(JobSpec(), "shared", at=2.0)
-        store.create_job(JobSpec(), "other", at=3.0)
-        assert store.find_by_fingerprint("shared").id == newer.id
-        assert store.find_by_fingerprint("absent") is None
-
 
 class TestEvents:
     def test_append_and_read(self, store):

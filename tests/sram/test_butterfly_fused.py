@@ -1,6 +1,6 @@
 """Fused (2B, G) bisection: bit-identity against the per-side solves,
-resume from coarse brackets, the device-eval accounting, and the
-side-symmetry precondition."""
+resume from shallower brackets rung by rung, the device-eval
+accounting, and the side-symmetry precondition."""
 
 from __future__ import annotations
 
@@ -39,11 +39,14 @@ class TestFusionBitIdentity:
         assert np.array_equal(curves.vtc_a, want_a)
         assert np.array_equal(curves.vtc_b, want_b)
         assert state.iterations == 12
-        # the curves are the final bracket midpoints, side by side
-        for (lo, hi), vtc in ((state.side_a, want_a),
-                              (state.side_b, want_b)):
-            assert lo.shape == hi.shape == vtc.shape
-            assert np.array_equal(0.5 * (lo + hi), vtc)
+        # the curves are the final bracket midpoints; the brackets keep
+        # the fused layout, side A's rows above side B's
+        batch = shifts.shape[0]
+        assert state.lo.shape == state.hi.shape == (2 * batch, 21)
+        for rows, vtc in ((slice(None, batch), want_a),
+                          (slice(batch, None), want_b)):
+            assert np.array_equal(
+                0.5 * (state.lo[rows] + state.hi[rows]), vtc)
 
     def test_resume_crosses_the_fusion_boundary(self, paper_cell,
                                                 shifts):
@@ -53,10 +56,45 @@ class TestFusionBitIdentity:
                                      bisection_iterations=12)
         exact = ReadButterflySolver(paper_cell, grid_points=21)
         _, state = coarse.solve_with_state(shifts)
-        resumed = exact.resume(shifts, state)
+        resumed, _ = exact.resume(shifts, state)
         want_a, want_b = per_side(exact, shifts)
         assert np.array_equal(resumed.vtc_a, want_a)
         assert np.array_equal(resumed.vtc_b, want_b)
+
+    def test_resume_rung_by_rung_matches_scratch_solves(self, paper_cell,
+                                                        shifts):
+        # the adaptive evaluator's ladder: each rung resumes the previous
+        # rung's brackets for a row subset and must land on that depth's
+        # from-scratch solve exactly
+        state = None
+        for depth in (8, 12, 20, 40):
+            solver = ReadButterflySolver(paper_cell, grid_points=21,
+                                         bisection_iterations=depth)
+            if state is None:
+                curves, state = solver.solve_with_state(shifts)
+            else:
+                curves, state = solver.resume(shifts, state)
+            want = ReadButterflySolver(paper_cell, grid_points=21,
+                                       bisection_iterations=depth
+                                       ).solve(shifts)
+            assert state.iterations == depth
+            assert np.array_equal(curves.vtc_a, want.vtc_a)
+            assert np.array_equal(curves.vtc_b, want.vtc_b)
+            keep = np.arange(0, shifts.shape[0], 2)
+            shifts, state = shifts[keep], state.rows(keep)
+        assert shifts.shape[0] == state.batch_size == 3
+
+    def test_resume_rejects_mismatched_state(self, paper_cell, shifts):
+        coarse = ReadButterflySolver(paper_cell, grid_points=21,
+                                     bisection_iterations=12)
+        _, state = coarse.solve_with_state(shifts)
+        with pytest.raises(ValueError, match="state holds"):
+            ReadButterflySolver(paper_cell, grid_points=21).resume(
+                shifts[1:], state)
+        with pytest.raises(ValueError, match="cannot resume"):
+            ReadButterflySolver(paper_cell, grid_points=21,
+                                bisection_iterations=8).resume(shifts,
+                                                               state)
 
     def test_fused_eval_count_matches_legacy(self, paper_cell, shifts):
         fused = ReadButterflySolver(paper_cell, grid_points=21)
