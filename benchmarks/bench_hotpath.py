@@ -28,6 +28,13 @@ and at the default tile, and passes when labels and device-model
 evaluations are equal; both walls and their ratio are recorded, with
 the rows each rung of the screening ladder labelled.
 
+The window gate labels a 5,000-row prior block (``cell``) and an
+RTN-shifted one (``lobe0``, alpha 0.5) with ``AdaptiveMarginEvaluator``
+and passes when its labels equal ``CellEvaluator``'s and the prior block
+costs at most half the 8-step floor, 0.5 x 976 device-model
+evaluations per row; it records the evaluations per row, the rows
+within the window radius and the rows the window pre-rung passed.
+
 The start-up record runs fresh interpreters and reports ``import
 repro``'s wall time and VmRSS, and the deferred scipy.optimize import
 the first SVM fit pays; it also times ``analyze_array``.  It passes when
@@ -70,11 +77,13 @@ from repro.experiments.fig8 import run_fig8
 from repro.experiments.setup import paper_setup
 from repro.perf import PerfConfig, save_registered_caches
 import repro.perf as perf_pkg
-from repro.perf.adaptive import AdaptiveMarginEvaluator
+from repro.perf.adaptive import (LADDER, WINDOW_RADIUS,
+                                 AdaptiveMarginEvaluator)
 from repro.perf.report import collect_runs, merge_perf
 from repro.runtime import BACKENDS, ExecutionConfig
 from repro.sram.butterfly import ReadButterflySolver
 from repro.sram.cell import SramCell
+from repro.sram.evaluator import CellEvaluator
 
 JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_hotpath.json"
 
@@ -445,6 +454,62 @@ def bench_tiles(quick: bool) -> dict:
     return record
 
 
+def bench_window(quick: bool) -> dict:
+    """Gate: the window pre-rung keeps every label and halves the
+    8-step floor on prior rows.
+
+    The floor is what the 8-step rung alone costs a row: 2 sides x 61
+    columns x 8 steps = 976 device-model evaluations.
+    """
+    print("== window pre-rung: prior and RTN-shifted blocks ==")
+    setup = paper_setup(alpha=0.5)
+    rng = np.random.default_rng(SEED)
+    prior = rng.standard_normal((5000, 6))
+    shifts, states = setup.rtn_model.sample(5000, rng)
+    blocks = {"prior": (prior, "cell"),
+              "rtn_shifted": (setup.rtn_model.mirror(
+                  rng.standard_normal((5000, 6)) + shifts, states),
+                  "lobe0")}
+    floor = 2 * setup.evaluator.solver.grid.size * LADDER[0][0]
+    exact = CellEvaluator(setup.cell, setup.space)
+    repeats = 3 if quick else 7
+    record = {"floor_evals_per_row": floor}
+    for name, (x, which) in blocks.items():
+        want = exact.failure_labels(x, which)
+        walls = []
+        for _ in range(repeats):
+            evaluator = AdaptiveMarginEvaluator(setup.cell, setup.space)
+            t0 = time.perf_counter()
+            labels = evaluator.failure_labels(x, which)
+            walls.append(time.perf_counter() - t0)
+            assert np.array_equal(labels, want), \
+                f"{name}: window labels differ from the exact path's"
+        per_row = evaluator.device_model_evals / x.shape[0]
+        inside = np.flatnonzero(np.sum(x * x, axis=1)
+                                <= WINDOW_RADIUS ** 2)
+        passed = AdaptiveMarginEvaluator(setup.cell, setup.space) \
+            ._window_rung(setup.space.to_physical(x), inside, which).size
+        wall, wall_iqr = quartiles(walls)
+        print(f"  {name:11s} {x.shape[0]} rows ({which})  "
+              f"{per_row:6.1f} evals/row ({per_row / floor:.2f} of the "
+              f"8-step floor)  {wall:5.2f} s")
+        print(f"  {'':11s} within {WINDOW_RADIUS:g} sigma: {inside.size}, "
+              f"passed by the window: {passed}")
+        record[name] = {
+            "rows": x.shape[0], "criterion": which,
+            "evals_per_row": per_row,
+            "rows_within_radius": int(inside.size),
+            "rows_window_passed": passed,
+            "resolved_by_depth": {str(depth): count for depth, count
+                                  in evaluator.resolved.items()},
+            "wall_median_s": wall, "wall_iqr_s": wall_iqr,
+        }
+    assert record["prior"]["evals_per_row"] <= 0.5 * floor, (
+        f"prior block costs {record['prior']['evals_per_row']:.1f} "
+        f"evals/row > half the 8-step floor ({0.5 * floor:.0f})")
+    return record
+
+
 def bench_startup(quick: bool) -> dict:
     """Gate: ``import repro`` loads no scipy module.
 
@@ -511,6 +576,7 @@ def main(argv=None) -> int:
         "sweep": sweep,
         "batched": bench_batched(args.quick, sweep),
         "tiles": bench_tiles(args.quick),
+        "window": bench_window(args.quick),
         "warm_cache": bench_warm_cache(scale),
         "backends": bench_backends(scale),
         "resume": bench_resume(scale),

@@ -42,11 +42,22 @@ A row labelled at depth ``d`` pays ``d`` steps; a row that reaches the
 exact depth pays 40, as on the exact path, plus one margin extraction
 per rung it passed.
 
-With a :class:`~repro.perf.cache.SolveCache`, each rung first looks up
-its own cache level; the cache stores margins, never labels.
-:meth:`margins` (the float-valued API used by boundary refinement,
-cross-entropy and the analyses) always returns exact values --
-adaptivity accelerates labelling only.
+Rows within :data:`WINDOW_RADIUS` sigma of the origin of the whitened
+space first take a **window pre-rung**: the first rung's 8 steps on
+only the 16 grid columns around the nominal cell's widest Seevinck cuts
+(:attr:`AdaptiveMarginEvaluator.window`).  The brackets tell which cuts
+the exact curves interpolate from those columns
+(:func:`~repro.sram.margins.window_lobe_margins`); a row whose largest
+verified gap clears the 8-step guard band passes, since the exact
+margin is a max over all cuts.  The window never labels a failure:
+every other row takes the ladder from scratch, so a passing prior row
+costs 256 device-model evaluations instead of 976.
+
+With a :class:`~repro.perf.cache.SolveCache`, the window and each rung
+first look up their own cache level; the cache stores margins, never
+labels.  :meth:`margins` (the float-valued API used by boundary
+refinement, cross-entropy and the analyses) always returns exact
+values -- adaptivity accelerates labelling only.
 """
 
 from __future__ import annotations
@@ -56,17 +67,30 @@ from repro.rng import stable_seed
 from repro.sram.butterfly import BisectionState, ReadButterflySolver
 from repro.sram.cell import SramCell
 from repro.sram.evaluator import CellEvaluator
-from repro.sram.margins import lobe_margins
+from repro.sram.margins import (lobe_margins, widest_cut_columns,
+                                window_lobe_margins)
 from repro.variability.space import VariabilitySpace
 
 import numpy as np
 
 #: The screening ladder, shallowest rung first: ``(bisection steps,
 #: SolveCache level)`` per rung.  Rows no rung labels go on to the
-#: exact depth (level ``"exact"``).  8 steps is the solver's floor and
-#: the rung that pays for naive Monte Carlo: 99.8 % of prior rows
-#: settle there.
+#: exact depth (level ``"exact"``).  8 steps is the solver's floor;
+#: 99.8 % of prior rows settle there, most of them already in the
+#: window pre-rung at the same depth.
 LADDER = ((8, "depth8"), (12, "coarse"), (20, "depth20"))
+
+#: Grid columns the window adds on each side of the nominal cell's
+#: widest-cut columns.
+WINDOW_HALF = 3
+
+#: Rows within this many sigma of the origin of the whitened space take
+#: the window pre-rung first.  A property of the row, so labels and
+#: counters do not depend on how a label block is tiled.
+WINDOW_RADIUS = 3.0
+
+#: SolveCache level of the window pre-rung's verified lobe margins.
+WINDOW_LEVEL = "window"
 
 
 def margin_guard_band(vdd: float, iterations: int,
@@ -85,7 +109,8 @@ def margin_guard_band(vdd: float, iterations: int,
 
 
 class AdaptiveMarginEvaluator(CellEvaluator):
-    """Cell evaluator that labels on the screening ladder.
+    """Cell evaluator that labels on the window pre-rung and the
+    screening ladder.
 
     Drop-in replacement for :class:`~repro.sram.evaluator.CellEvaluator`
     (built by :func:`repro.perf.build_evaluator` when the
@@ -123,6 +148,8 @@ class AdaptiveMarginEvaluator(CellEvaluator):
         #: rows labelled at each depth: the rungs', then the exact one
         self.resolved = dict.fromkeys(
             [depth for depth, _ in LADDER] + [exact], 0)
+        #: grid columns of the window pre-rung, derived at first use
+        self._window: np.ndarray | None = None
 
     @property
     def screened(self) -> int:
@@ -139,25 +166,38 @@ class AdaptiveMarginEvaluator(CellEvaluator):
                        ) -> np.ndarray:
         """Fail labels, bit-identical to ``CellEvaluator``'s exact path.
 
-        Each ``max_batch``-row tile climbs the ladder: a rung labels the
-        rows whose margin clears its guard band, and the rest resume
-        from its brackets (see
+        In each ``max_batch``-row tile, the rows within
+        :data:`WINDOW_RADIUS` first take the window pre-rung
+        (:meth:`_window_rung`), which passes rows and labels no failure.
+        The other rows climb the ladder: a rung labels the rows whose
+        margin clears its guard band, and the rest resume from its
+        brackets (see
         :meth:`~repro.sram.butterfly.ReadButterflySolver.resume`) to the
-        next depth, so no row repeats a bisection step.
+        next depth, so no row repeats a ladder step.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != 6:
             raise ValueError(f"x must have shape (B, 6), got {x.shape}")
+        inside = np.sum(x * x, axis=1) <= WINDOW_RADIUS ** 2
         labels = np.empty(x.shape[0], dtype=bool)
         for start in range(0, x.shape[0], self.max_batch):
             stop = start + self.max_batch
             labels[start:stop] = self._label_tile(
-                self.space.to_physical(x[start:stop]), which)
+                self.space.to_physical(x[start:stop]), which,
+                np.flatnonzero(inside[start:stop]))
         return labels
 
-    def _label_tile(self, dvth: np.ndarray, which: str) -> np.ndarray:
+    def _label_tile(self, dvth: np.ndarray, which: str,
+                    inside: np.ndarray) -> np.ndarray:
         labels = np.empty(dvth.shape[0], dtype=bool)
         rows = np.arange(dvth.shape[0])  # tile rows not labelled yet
+        if inside.size:
+            passed = self._window_rung(dvth, inside, which)
+            labels[passed] = False
+            self.resolved[LADDER[0][0]] += passed.size
+            rows = np.setdiff1d(rows, passed)
+            if rows.size == 0:
+                return labels
         parts: list = []  # (tile rows, brackets) from the previous rung
         for solver, level, band in self.rungs:
             margin, parts = self._rung(solver, level, dvth, rows, parts,
@@ -174,6 +214,56 @@ class AdaptiveMarginEvaluator(CellEvaluator):
         labels[rows] = margin < 0.0
         self.resolved[self.solver.bisection_iterations] += rows.size
         return labels
+
+    @property
+    def window(self) -> np.ndarray:
+        """Grid columns of the window pre-rung.
+
+        The nominal cell (ΔVth = 0), solved to the first rung's depth on
+        the full grid: per lobe, the columns its widest cut interpolates
+        on each curve, widened by :data:`WINDOW_HALF` on each side.  The
+        derivation solve counts in no ``device_model_evals``.
+        """
+        if self._window is None:
+            points = self.solver.grid.size
+            nominal = ReadButterflySolver(
+                self.cell, vdd=self.vdd, grid_points=points,
+                bisection_iterations=LADDER[0][0]).solve(np.zeros((1, 6)))
+            centres = widest_cut_columns(nominal, self.margin_levels)
+            self._window = np.unique(np.clip(
+                centres[:, None] + np.arange(-WINDOW_HALF, WINDOW_HALF + 1),
+                0, points - 1))
+        return self._window
+
+    def _window_rung(self, dvth: np.ndarray, rows: np.ndarray,
+                     which: str) -> np.ndarray:
+        """The tile rows among ``rows`` the window certifies as passing.
+
+        Each row is bisected to the first rung's depth on the
+        :attr:`window` columns only; it passes when its verified lobe
+        margin (:func:`~repro.sram.margins.window_lobe_margins`) clears
+        that rung's guard band -- both lobes for ``cell``, lobe 0 for
+        ``lobe0``.  The window never labels a failure.  With a cache,
+        both lobes' margins are looked up and stored under
+        :data:`WINDOW_LEVEL`.
+        """
+        solver, _, band = self.rungs[0]
+        w0 = np.empty(rows.size)
+        w1 = np.empty(rows.size)
+        todo = np.ones(rows.size, dtype=bool)
+        if self.cache is not None:
+            hit, w0, w1 = self.cache.lookup(WINDOW_LEVEL, dvth[rows])
+            todo = ~hit
+        if todo.any():
+            ids = rows[todo]
+            curves, state = solver.solve_with_state(dvth[ids],
+                                                    columns=self.window)
+            w0[todo], w1[todo] = window_lobe_margins(
+                curves, state, self.window, self.margin_levels)
+            if self.cache is not None:
+                self.cache.store(WINDOW_LEVEL, dvth[ids], w0[todo],
+                                 w1[todo])
+        return rows[self._select_margin(w0, w1, which) > band]
 
     def _rung(self, solver: ReadButterflySolver, level: str,
               dvth: np.ndarray, rows: np.ndarray,

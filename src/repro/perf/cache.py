@@ -12,11 +12,14 @@ in their on-disk order (:data:`LEVELS`):
   :meth:`~repro.sram.evaluator.CellEvaluator.margins` returns;
 * ``"coarse"`` -- 12 steps, the middle rung of the screening ladder
   (:data:`repro.perf.adaptive.LADDER`);
-* ``"depth8"`` and ``"depth20"`` -- 8 and 20 steps, its other rungs.
+* ``"depth8"`` and ``"depth20"`` -- 8 and 20 steps, its other rungs;
+* ``"window"`` -- the window pre-rung's verified lobe margins (8 steps
+  on 16 grid columns; :data:`repro.perf.adaptive.WINDOW_LEVEL`).
 
 Entries hold margins, never labels, so the ``cell`` and ``lobe0``
-failure criteria share them.  A file written before the 8- and 20-step
-rungs existed holds only levels 0 and 1, and still loads and hits.
+failure criteria share them.  A file written before a level existed
+holds only the earlier ones, and still loads and hits; a build older
+than a level loads a file holding it as an empty cache.
 
 A hit needs the same rows.  Independent draws do not repeat one:
 quick ECRIPSE estimates measured 0 hits in 1,601-2,153 lookups each,
@@ -49,7 +52,7 @@ import numpy as np
 
 #: the resolution levels of the module docstring, in on-disk order: a
 #: level's position is its on-disk index, so levels are only appended.
-LEVELS = ("exact", "coarse", "depth8", "depth20")
+LEVELS = ("exact", "coarse", "depth8", "depth20", "window")
 
 
 class SolveCache:

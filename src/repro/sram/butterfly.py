@@ -31,7 +31,8 @@ class ButterflyCurves:
     Attributes
     ----------
     grid:
-        Shared input-voltage grid, shape (G,).
+        Shared input-voltage grid, shape (G,): the solver's grid, or the
+        solved columns of it for a column solve.
     vtc_a:
         Inverter A output: Q as a function of QB = ``grid``; shape (B, G).
     vtc_b:
@@ -148,15 +149,23 @@ class ReadButterflySolver:
         """
         return self._solve_with_state(self._check_shifts(delta_vth))[0]
 
-    def solve_with_state(self, delta_vth: np.ndarray
+    def solve_with_state(self, delta_vth: np.ndarray,
+                         columns: np.ndarray | None = None
                          ) -> tuple[ButterflyCurves, BisectionState]:
         """:meth:`solve` that also returns the bisection brackets.
 
         The state lets a deeper solver :meth:`resume` the bisection
         instead of re-solving from scratch (the adaptive evaluator's
         screening ladder).
+
+        ``columns`` (sorted grid indices) bisects only those grid
+        points: the curves' ``grid`` and every ``(B, C)`` array hold
+        just those columns.  Bisection is elementwise, so each column's
+        curve and brackets are bit-identical to the same column of a
+        full solve, at ``C / G`` of its device-model evaluations.
         """
-        return self._solve_with_state(self._check_shifts(delta_vth))
+        return self._solve_with_state(self._check_shifts(delta_vth),
+                                      columns=columns)
 
     def resume(self, delta_vth: np.ndarray, state: BisectionState
                ) -> tuple[ButterflyCurves, BisectionState]:
@@ -181,6 +190,10 @@ class ReadButterflySolver:
             raise ValueError(
                 f"state holds {state.batch_size} cells, delta_vth "
                 f"{delta_vth.shape[0]}")
+        if state.lo.shape[1] != self.grid.size:
+            raise ValueError(
+                f"state holds {state.lo.shape[1]} grid columns, the "
+                f"solver {self.grid.size}; a column solve cannot resume")
         return self._solve_with_state(delta_vth, (state.lo, state.hi),
                                       extra)
 
@@ -241,7 +254,8 @@ class ReadButterflySolver:
 
     def _solve_with_state(self, delta_vth: np.ndarray,
                           start: tuple[np.ndarray, np.ndarray] | None = None,
-                          iterations: int | None = None
+                          iterations: int | None = None,
+                          columns: np.ndarray | None = None
                           ) -> tuple[ButterflyCurves, BisectionState]:
         """Both sides as one (2B, G) bisection; rows [:B] are side A.
 
@@ -261,16 +275,19 @@ class ReadButterflySolver:
         dv_access = np.concatenate(
             [delta_vth[:, idx_a[2]], delta_vth[:, idx_b[2]]])[:, None]
         models = tuple(self.cell.model(n) for n in self._side_names[0])
+        grid = self.grid if columns is None else self.grid[columns]
         mid, lo, hi = self._bisect(models, dv_load, dv_driver, dv_access,
-                                   None, None, start, iterations)
-        curves = ButterflyCurves(grid=self.grid, vtc_a=mid[:batch],
+                                   None, None, start, iterations, grid)
+        curves = ButterflyCurves(grid=grid, vtc_a=mid[:batch],
                                  vtc_b=mid[batch:], vdd=self.vdd)
         return curves, BisectionState(lo, hi, self.bisection_iterations)
 
     def _bisect(self, models, dv_load, dv_driver, dv_access,
-                bl_voltage, wl_voltage, start=None, iterations=None):
+                bl_voltage, wl_voltage, start=None, iterations=None,
+                grid=None):
         """Shared bisection engine over an (N, G) bracket block; returns
-        the midpoints and the final ``lo``/``hi`` brackets.
+        the midpoints and the final ``lo``/``hi`` brackets.  ``grid``
+        (default: the full grid) is the input voltages of the columns.
 
         Maintains the invariant ``0 <= lo <= mid <= hi <= vdd`` (the
         initial brackets span ``[0, vdd]`` and every update replaces an
@@ -280,8 +297,9 @@ class ReadButterflySolver:
         bl = self.vdd if bl_voltage is None else float(bl_voltage)
         wl = self.vdd if wl_voltage is None else float(wl_voltage)
         batch = dv_load.shape[0]
-        grid_size = self.grid.size
-        vin = self.grid[None, :]
+        grid = self.grid if grid is None else grid
+        grid_size = grid.size
+        vin = grid[None, :]
         if start is None:
             lo = np.zeros((batch, grid_size))
             hi = np.full((batch, grid_size), self.vdd)

@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 
 from repro.config import TABLE_I
+from repro.perf import build_evaluator
 from repro.rtn.model import RtnModel
-from repro.sram.evaluator import CellEvaluator, Lobe0ReadFailure
+from repro.sram.evaluator import Lobe0ReadFailure
 
 
 @pytest.fixture(scope="module")
 def low_vdd_evaluator(paper_cell, paper_space):
-    return CellEvaluator(paper_cell, paper_space, vdd=0.5)
+    # the production evaluator: its labels are the exact path's, bit
+    # for bit, at a fraction of the bisection work
+    return build_evaluator(paper_cell, paper_space, vdd=0.5)
 
 
 def rtn_pfail(evaluator, space, alpha, n=20_000, seed=5,

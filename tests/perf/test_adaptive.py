@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from repro.config import TABLE_I
 from repro.experiments.setup import paper_setup
 from repro.perf import PerfConfig, build_evaluator
-from repro.perf.adaptive import (LADDER, AdaptiveMarginEvaluator,
+from repro.perf.adaptive import (LADDER, WINDOW_LEVEL,
+                                 AdaptiveMarginEvaluator,
                                  margin_guard_band)
 from repro.perf.cache import LEVELS, SolveCache
 from repro.rtn.model import RtnModel
@@ -301,9 +302,12 @@ class TestBuildEvaluator:
         assert bands == sorted(bands, reverse=True)
         assert bands == [margin_guard_band(fast.vdd, depth, 40)
                          for depth in depths]
-        # "coarse" and "exact" keep their on-disk level indices
+        # "coarse" and "exact" keep their on-disk level indices; the
+        # others are the rungs' and the window pre-rung's
         assert LEVELS[:2] == ("exact", "coarse")
-        assert sorted(level for _, level in LADDER) == sorted(LEVELS[1:])
+        assert sorted([*(level for _, level in LADDER), WINDOW_LEVEL]) \
+            == sorted(LEVELS[1:])
+        assert LEVELS[-1] == WINDOW_LEVEL == "window"
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.spice.model import MosfetModel
 from repro.sram.butterfly import ButterflyCurves, ReadButterflySolver
@@ -104,6 +106,53 @@ class TestFusionBitIdentity:
         assert fused.model_evals == sides.model_evals
         assert fused.model_evals == \
             2 * shifts.shape[0] * 40 * fused.grid.size
+
+
+@st.composite
+def column_cases(draw):
+    """Shifts, a sorted column subset of a 61-point grid, and a depth."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    scale = draw(st.sampled_from([0.02, 0.05, 0.1]))
+    shifts = np.random.default_rng(seed).normal(scale=scale, size=(12, 6))
+    columns = draw(st.lists(st.integers(0, 60), min_size=1, max_size=20,
+                            unique=True))
+    depth = draw(st.sampled_from([8, 40]))
+    return shifts, np.array(sorted(columns)), depth
+
+
+class TestColumnSolve:
+    """``solve_with_state(..., columns=...)`` bisects a column subset:
+    each column bit-identical to the same column of a full solve."""
+
+    @given(column_cases())
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    def test_columns_match_full_solve(self, paper_cell, case):
+        shifts, columns, depth = case
+        solver = ReadButterflySolver(paper_cell, grid_points=61,
+                                     bisection_iterations=depth)
+        full, full_state = solver.solve_with_state(shifts)
+        part, part_state = solver.solve_with_state(shifts, columns=columns)
+        assert np.array_equal(part.grid, solver.grid[columns])
+        # both sides: curves A and B, and the fused (2B, C) brackets
+        assert np.array_equal(part.vtc_a, full.vtc_a[:, columns])
+        assert np.array_equal(part.vtc_b, full.vtc_b[:, columns])
+        assert np.array_equal(part_state.lo, full_state.lo[:, columns])
+        assert np.array_equal(part_state.hi, full_state.hi[:, columns])
+        assert part_state.iterations == depth
+
+    def test_counts_only_the_columns(self, paper_cell, shifts):
+        solver = ReadButterflySolver(paper_cell, grid_points=61,
+                                     bisection_iterations=8)
+        solver.solve_with_state(shifts, columns=np.arange(20, 36))
+        assert solver.model_evals == 2 * shifts.shape[0] * 8 * 16
+
+    def test_column_state_cannot_resume(self, paper_cell, shifts):
+        coarse = ReadButterflySolver(paper_cell, grid_points=21,
+                                     bisection_iterations=8)
+        _, state = coarse.solve_with_state(shifts, columns=np.arange(4))
+        with pytest.raises(ValueError, match="column solve"):
+            ReadButterflySolver(paper_cell, grid_points=21).resume(
+                shifts, state)
 
 
 class TestEvaluatorBitIdentity:
