@@ -305,16 +305,20 @@ def bench_butterfly(quick: bool) -> dict:
 
     def legacy_solve_side(side):
         # the pre-PR formulation: fresh np.where allocations per step
-        names = solver._side_names[side]
+        load, driver, access = (solver.cell.model(n)
+                                for n in solver._side_names[side])
         idx = solver._sides[side]
         dv = [delta_vth[:, i, None] for i in idx]
+        vdd = solver.vdd
         vin = solver.grid[None, :]
         lo = np.zeros((delta_vth.shape[0], solver.grid.size))
-        hi = np.full((delta_vth.shape[0], solver.grid.size), solver.vdd)
+        hi = np.full((delta_vth.shape[0], solver.grid.size), vdd)
         for _ in range(solver.bisection_iterations):
             mid = 0.5 * (lo + hi)
-            f = solver._node_current(names, vin, mid, dv[0], dv[1], dv[2],
-                                     solver.vdd, solver.vdd)
+            # net current into the node: load, driver, access
+            f = (-load.ids(vin, mid, vdd, dv[0])
+                 + -driver.ids(vin, mid, 0.0, dv[1])
+                 + access.ids(vdd, vdd, mid, dv[2]))
             above = f > 0.0
             lo = np.where(above, mid, lo)
             hi = np.where(above, hi, mid)

@@ -464,18 +464,10 @@ class EcripseEstimator:
         """
         total = np.atleast_2d(np.asarray(total, dtype=float))
         raw = self.indicator.indicator
-
-        def dispatch() -> np.ndarray:
-            return self.executor.map_chunks(
-                evaluate_indicator_stats, total, raw,
-                simulations=total.shape[0], label="simulate-labels",
-                stats_sink=partial(absorb_perf_stats, raw))
-
-        # The health guard retries ConvergenceError batches (and is the
-        # solver fault-injection seam); injection raises *before*
-        # dispatch, so a recovered batch is bit-identical to a healthy
-        # one -- nothing was counted or labelled by the failed attempt.
-        return self.health.guarded_simulation(dispatch, self._phase)
+        return self.executor.map_chunks(
+            evaluate_indicator_stats, total, raw,
+            simulations=total.shape[0], label="simulate-labels",
+            stats_sink=partial(absorb_perf_stats, raw))
 
     def _labels_stage1(self, total: np.ndarray) -> np.ndarray:
         """Fail labels for stage-1 samples: K simulated, rest classified."""

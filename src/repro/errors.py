@@ -31,7 +31,7 @@ class ConvergenceError(ReproError):
     Carries the KCL residual of the best iterate reached (finite by
     construction in :class:`~repro.spice.solver.DcSolver`, which also
     prints it in the message), so a failed solve is always diagnosable.
-    ``None`` when no residual exists, as for an injected fault.
+    ``None`` when no residual exists.
     """
 
     def __init__(self, message: str, residual: float | None = None):
@@ -101,9 +101,9 @@ class HealthyDegradation(UserWarning):
     """Warning category for recovered numerical degradation.
 
     Emitted by :mod:`repro.health` whenever a recovery path engages
-    under ``HealthPolicy.recover`` / ``permissive`` (solver retry,
-    filter re-seed, mixture widening, classifier blockade, rule-of-three
-    upper bound).  The run continues; the full detail lands in the
+    under ``HealthPolicy.recover`` / ``permissive`` (filter re-seed,
+    mixture widening, classifier blockade, rule-of-three upper bound).
+    The run continues; the full detail lands in the
     :class:`~repro.health.events.HealthReport` attached to the estimate.
     """
 
@@ -133,8 +133,7 @@ class ServiceError(ReproError):
 
 class ExecutionError(ReproError):
     """Raised when the parallel runtime cannot complete a task: the chunk
-    failed on the backend, exhausted its retries *and* failed the final
-    in-process fallback attempt (or fallback was disabled).
+    failed on the pool *and* failed again in the in-process fallback.
 
     Carries the index of the offending chunk so callers can correlate it
     with the :class:`~repro.runtime.metrics.RunMetrics` chunk records.

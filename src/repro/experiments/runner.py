@@ -77,7 +77,7 @@ def _add_common_args(cmd: argparse.ArgumentParser) -> None:
                           "(stage spans, device-model evaluations, cache "
                           "hit rates) after the run")
     # Test/CI fault injector: deterministically force one fault class
-    # (solver | filter | is-weight | one-class, optionally :count:skip)
+    # (filter | is-weight | one-class, optionally :count:skip)
     # so the recovery paths are exercisable from the shell.
     cmd.add_argument("--inject-fault", default=None,
                      help=argparse.SUPPRESS)

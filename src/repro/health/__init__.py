@@ -1,19 +1,16 @@
 """repro.health -- numerical guardrails and graceful degradation.
 
 The health layer turns fatal numerical failures in the two-stage
-ECRIPSE estimator into detected, recovered and reported events.  Four
+ECRIPSE estimator into detected, recovered and reported events.  Three
 recovery paths sit behind a :class:`HealthPolicy`; their thresholds are
 constants in :mod:`repro.health.monitor`:
 
-1. **solver** -- a simulation batch that raises
-   :class:`~repro.errors.ConvergenceError` is re-run, up to
-   ``SOLVER_RETRIES`` times;
-2. **particle filters** -- per-step ESS and lobe-collapse monitors with
+1. **particle filters** -- per-step ESS and lobe-collapse monitors with
    deterministic re-seeding from the boundary cache and quarantine;
-3. **stage-2 importance sampling** -- ESS floor on the importance
+2. **stage-2 importance sampling** -- ESS floor on the importance
    weights with automatic mixture widening and a bias flag when weight
    clipping engages;
-4. **classifier** -- degenerate one-class training batches fall back to
+3. **classifier** -- degenerate one-class training batches fall back to
    a simulate-everything blockade until both classes reappear.
 
 Everything flows into a structured :class:`HealthReport` attached to

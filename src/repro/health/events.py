@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 #: event severities, mildest first.
 SEVERITIES = ("info", "warning", "critical")
 
-#: fault/detection categories the monitors emit.
+#: fault/detection categories.  No monitor emits ``"solver"``; it stays
+#: because older checkpoints and service results may hold solver events,
+#: and :meth:`HealthEvent.from_dict` must still load them.
 CATEGORIES = ("solver", "filter-degeneracy", "is-weight", "one-class",
               "zero-failures")
 
@@ -33,7 +35,7 @@ class HealthEvent:
     ----------
     stage:
         Where in the pipeline it happened (``"stage1"``, ``"stage2"``,
-        ``"solver"``, ``"classifier"``).
+        ``"classifier"``).
     category:
         Fault class, one of :data:`CATEGORIES`.
     severity:

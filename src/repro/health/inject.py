@@ -9,10 +9,6 @@ degradation each recovery path exists for:
 ======================  ==================================================
 fault kind              effect at the seam
 ======================  ==================================================
-``solver``              a simulation batch raises
-                        :class:`~repro.errors.ConvergenceError` before
-                        dispatch (retry recovers it, so the estimate is
-                        bit-identical to the uninjected run)
 ``filter``              one particle filter's stage-1 weights are zeroed
                         (lobe collapse; quarantine + re-seed recovers)
 ``is-weight``           a stage-2 batch reports a degenerate ESS
@@ -38,7 +34,6 @@ from __future__ import annotations
 
 #: known fault kinds -> (default fire count, default skipped opportunities)
 FAULT_KINDS: dict[str, tuple[int, int]] = {
-    "solver": (1, 0),
     "filter": (2, 2),
     "is-weight": (2, 1),
     "one-class": (1, 0),

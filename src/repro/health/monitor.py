@@ -2,10 +2,10 @@
 
 One :class:`HealthMonitor` accompanies one
 :class:`~repro.core.ecripse.EcripseEstimator` run.  The estimator calls
-it at four seams -- simulation batches, stage-1 resampling, classifier
-training batches, stage-2 importance-weight batches -- and the monitor
-detects degradation, runs the policy-appropriate recovery and records
-every event into a :class:`~repro.health.events.HealthReport`.
+it at three seams -- stage-1 resampling, classifier training batches,
+stage-2 importance-weight batches -- and the monitor detects
+degradation, runs the policy-appropriate recovery and records every
+event into a :class:`~repro.health.events.HealthReport`.
 
 Everything here is deterministic: detections are pure functions of the
 values the estimator already computed, recoveries consume randomness
@@ -26,7 +26,6 @@ from repro.core.estimate import FailureEstimate
 from repro.core.importance import effective_sample_size
 from repro.errors import (
     ClassifierError,
-    ConvergenceError,
     DegradationError,
     EstimationError,
     HealthyDegradation,
@@ -35,8 +34,6 @@ from repro.health.events import HealthEvent, HealthReport
 from repro.health.inject import FaultInjector
 from repro.health.policy import HealthConfig
 
-#: simulation-batch retries after a ConvergenceError before giving up.
-SOLVER_RETRIES = 2
 #: ESS fraction below which a live filter's iteration is logged as
 #: starved (diagnostic only; the zero-weight streak drives quarantine).
 STAGE1_ESS_FLOOR = 0.02
@@ -113,56 +110,7 @@ class HealthMonitor:
         return float(SIGMA_WIDEN ** self._widenings)
 
     # ------------------------------------------------------------------
-    # seam 1: simulation batches (solver guard)
-    # ------------------------------------------------------------------
-    def guarded_simulation(self, fn, stage: str):
-        """Run one simulation batch with convergence-failure recovery.
-
-        ``fn`` performs the (side-effect-free until successful) batched
-        labelling; a :class:`~repro.errors.ConvergenceError` from it is
-        retried up to :data:`SOLVER_RETRIES` times unless the policy is
-        ``strict``.  Injected faults raise *before* ``fn`` runs, so a
-        recovered injection leaves labels, counters and RNG streams
-        bit-identical to the uninjected run.
-        """
-        failures = 0
-        while True:
-            try:
-                if self.injector.fire("solver"):
-                    raise ConvergenceError(
-                        "injected solver non-convergence "
-                        f"(fault spec {self.injector.spec!r})",
-                        residual=None)
-                result = fn()
-            except ConvergenceError as exc:
-                failures += 1
-                residual = (float(exc.residual)
-                            if exc.residual is not None
-                            and np.isfinite(exc.residual) else None)
-                if self.config.strict:
-                    self._record(
-                        stage, "solver", "critical",
-                        f"simulation batch failed to converge: {exc}",
-                        residual=residual)
-                    raise
-                if failures > SOLVER_RETRIES:
-                    self._record(
-                        stage, "solver", "critical",
-                        f"simulation batch still failing after "
-                        f"{SOLVER_RETRIES} retries: {exc}",
-                        attempts=failures, residual=residual)
-                    raise
-                continue
-            if failures:
-                self._record(
-                    stage, "solver", "warning",
-                    f"simulation batch recovered after {failures} "
-                    f"convergence failure(s)",
-                    recovered=True, warn=True, attempts=failures)
-            return result
-
-    # ------------------------------------------------------------------
-    # seam 2: stage-1 particle filters
+    # seam 1: stage-1 particle filters
     # ------------------------------------------------------------------
     def stage1_weights(self, weights: np.ndarray,
                        n_particles: int) -> np.ndarray:
@@ -251,7 +199,7 @@ class HealthMonitor:
                 iteration=iteration, reseeds=state["reseeds"])
 
     # ------------------------------------------------------------------
-    # seam 3: classifier training batches
+    # seam 2: classifier training batches
     # ------------------------------------------------------------------
     def training_batch(self, x: np.ndarray, labels: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
@@ -316,7 +264,7 @@ class HealthMonitor:
             f"reappear)", recovered=True, warn=True, stage_name=stage)
 
     # ------------------------------------------------------------------
-    # seam 4: stage-2 importance weights
+    # seam 3: stage-2 importance weights
     # ------------------------------------------------------------------
     def clip_ratios(self, ratios: np.ndarray, weight_bound: float,
                     batch_index: int) -> np.ndarray:

@@ -4,22 +4,24 @@ A :class:`HealthPolicy` decides what happens when a numerical guardrail
 trips:
 
 * ``strict`` -- recovery is disabled.  Organic failures keep their
-  original typed errors (:class:`~repro.errors.ConvergenceError`,
-  :class:`~repro.errors.ClassifierError`,
+  original typed errors (:class:`~repro.errors.ClassifierError`,
   :class:`~repro.errors.EstimationError`); monitor-only detections with
   no organic error raise :class:`~repro.errors.DegradationError`.
   Healthy runs behave bit-identically to a build without the health
   layer -- the monitors only *record*.
-* ``recover`` -- the recovery path runs (solver retries, filter
-  re-seeding, mixture widening, classifier blockade, rule-of-three
-  upper bound) within the thresholds fixed in
-  :mod:`repro.health.monitor`; every engagement emits a
-  :class:`~repro.errors.HealthyDegradation` warning and a
+* ``recover`` -- the recovery path runs (filter re-seeding, mixture
+  widening, classifier blockade, rule-of-three upper bound) within the
+  thresholds fixed in :mod:`repro.health.monitor`; every engagement
+  emits a :class:`~repro.errors.HealthyDegradation` warning and a
   :class:`~repro.health.events.HealthEvent`.  Recovery that cannot
   restore a usable state re-raises the original typed error.
 * ``permissive`` -- runs exactly the ``recover`` paths under its own
   name.  It stays a separate member because stored job specs, the
   ``--health-policy`` flag and the result cache are keyed on it.
+
+No policy retries a simulation batch: labelling is deterministic, so an
+indicator's :class:`~repro.errors.ConvergenceError` propagates under
+all three.
 """
 
 from __future__ import annotations

@@ -52,8 +52,8 @@ RULE_SCOPES: dict[str, RuleScope] = {
         exclude=("*repro/checkpoint/trigger.py",
                  "*repro/service/scheduler.py",
                  "*repro/chaos/clock.py")),
-    # The runtime retry layer's job is catching everything: any chunk
-    # failure must be retried or demoted to the serial fallback.
+    # The runtime's fallback layer must catch everything: any chunk
+    # failure on the pool is demoted to the serial fallback.
     "REP006": RuleScope(exclude=("*repro/runtime/executor.py",)),
     # Lock discipline matters where worker threads, scheduler callbacks
     # and HTTP handlers share state; a registered perf cache is shared

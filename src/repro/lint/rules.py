@@ -423,18 +423,18 @@ class MutableDefaultRule(Rule):
 class BroadExceptRule(Rule):
     """REP006: no ``except Exception`` / bare ``except``.
 
-    The runtime retry layer (``repro/runtime/executor.py``) is exempt:
-    catching everything is its job -- any chunk failure must be retried
-    or demoted to the serial fallback, never swallowed silently
-    elsewhere.
+    The runtime's fallback layer (``repro/runtime/executor.py``) is
+    exempt: catching everything is its job -- any chunk failure on the
+    pool must be demoted to the serial fallback, never swallowed
+    silently elsewhere.
     """
 
     id = "REP006"
     slug = "broad-except"
     title = "overbroad exception handler"
     rationale = ("broad handlers hide real failures; outside the "
-                 "runtime retry layer, catch the narrowest exception "
-                 "that the code can actually handle")
+                 "runtime fallback layer, catch the narrowest "
+                 "exception that the code can actually handle")
     # the executor exemption lives in config.RULE_SCOPES.
 
     def check(self, tree: ast.AST, ctx: FileContext) -> Iterator[Finding]:
@@ -450,9 +450,9 @@ class BroadExceptRule(Rule):
                     if name in ("Exception", "BaseException"):
                         yield self.finding(
                             ctx, node,
-                            f"'except {name}' outside the runtime retry "
-                            "layer; catch the narrowest type the code "
-                            "can handle")
+                            f"'except {name}' outside the runtime "
+                            "fallback layer; catch the narrowest type "
+                            "the code can handle")
                         break
 
     @staticmethod

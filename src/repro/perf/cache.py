@@ -36,15 +36,16 @@ deliberately *empty after pickling*: the process backend ships the
 evaluator to workers per task, and a growing cache inside those pickles
 would drown the run in IPC.
 :meth:`save`/:meth:`load` persist the cache on disk (entries packed by
-:meth:`state`/:meth:`restore_state`) through the same temp-then-rename
-discipline as :mod:`repro.analysis.persistence`.
+:meth:`state`/:meth:`restore_state`) through the same atomic writer as
+:mod:`repro.analysis.persistence`; a file that cannot be read back
+loads as an empty cache.
 """
 
 from __future__ import annotations
 
 import io
-import os
 import threading
+import zipfile
 from collections import OrderedDict
 from pathlib import Path
 
@@ -231,12 +232,14 @@ class SolveCache:
     def save(self, directory: str | Path) -> Path:
         """Atomically write the cache under ``directory``.
 
-        The write goes through a temp file plus :func:`os.replace`, so
-        a concurrent reader never sees a torn archive; a per-fingerprint
-        lock file additionally serialises concurrent writers (two
-        service jobs sharing a solve-cache directory), so one job's
-        publish cannot interleave with another's temp-file reuse.
+        The write goes through :mod:`repro.checkpoint.atomic`, so a
+        concurrent reader never sees a torn archive (and a crash never
+        publishes one); a per-fingerprint lock file additionally serialises
+        concurrent writers (two service jobs sharing a solve-cache
+        directory), so one job's publish cannot interleave with
+        another's temp-file reuse.
         """
+        from repro.checkpoint.atomic import atomic_write_bytes
         from repro.checkpoint.lockfile import FileLock
 
         directory = Path(directory)
@@ -252,10 +255,8 @@ class SolveCache:
                  levels=state["levels"], keys=state["keys"],
                  values=state["values"])
         path = self._file(directory, self.fingerprint)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         with FileLock(path.with_name(path.name + ".lock")):
-            tmp.write_bytes(buffer.getvalue())
-            os.replace(tmp, path)
+            atomic_write_bytes(path, buffer.getvalue())
         return path
 
     @classmethod
@@ -279,6 +280,8 @@ class SolveCache:
                     "evictions": int(meta[3]),
                     "levels": pack["levels"], "keys": pack["keys"],
                     "values": pack["values"]})
-        except (OSError, KeyError, ValueError):
+        except (OSError, KeyError, ValueError, EOFError,
+                zipfile.BadZipFile):
+            # EOFError: an empty file; BadZipFile: a truncated archive
             pass
         return cache

@@ -3,10 +3,11 @@
 One :class:`Executor` API, two backends (``serial`` and ``process``),
 bit-identical results on both for a fixed seed (row-pure labelling
 chunks, and RNG-consuming tasks that carry their own child
-generators), bounded retries with serial fallback, and per-chunk
-:class:`RunMetrics` telemetry.  This is the seam the estimator hot paths
-(:class:`~repro.core.ecripse.EcripseEstimator`'s simulation batches and
-:class:`~repro.core.naive.NaiveMonteCarlo`'s chunks) execute through.
+generators), a serial fallback for a chunk that fails on the pool, and
+per-chunk :class:`RunMetrics` telemetry.  This is the seam the
+estimator hot paths (:class:`~repro.core.ecripse.EcripseEstimator`'s
+simulation batches and :class:`~repro.core.naive.NaiveMonteCarlo`'s
+chunks) execute through.
 :mod:`repro.runtime.blas` pins OpenBLAS to one thread (numpy's at
 ``import repro``, scipy's at its first use), so the process pool is the
 package's only parallelism.

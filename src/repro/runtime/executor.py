@@ -9,14 +9,14 @@ inline (serial) or on a process pool, with
   own child generator); results are always collected in plan order,
   regardless of completion order, so every backend returns the
   bit-identical result;
-* **fault tolerance** -- a chunk that raises on the backend is retried
-  :data:`MAX_RETRIES` times with a ``RETRY_BACKOFF_S * attempt`` sleep
-  and finally re-run serially in the parent process; a broken pool
-  (killed worker, unpicklable task) demotes the whole run to serial
-  instead of failing it;
+* **fault tolerance** -- a chunk that raises on the pool runs once more,
+  in the parent process; it is never re-submitted, since every task is
+  a deterministic function of its arguments and would only fail again.
+  A broken pool (killed worker, unpicklable task) demotes the whole run
+  to serial instead of failing it;
 * **telemetry** -- every call appends a
   :class:`~repro.runtime.metrics.RunMetrics` (per-chunk wall time,
-  attempts, fallbacks, plus the simulation-count delta of an attached
+  fallbacks, plus the simulation-count delta of an attached
   :class:`~repro.core.indicator.SimulationCounter`) to :attr:`history`.
 
 The task callable and its arguments must be picklable for the process
@@ -34,19 +34,12 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.runtime.backends import ProcessBackend
-from repro.runtime.signals import shutdown_requested
 from repro.runtime.chunking import plan_chunks
 from repro.runtime.config import ExecutionConfig
 from repro.runtime.metrics import ChunkRecord, RunMetrics
 
 if TYPE_CHECKING:  # avoid a runtime repro.core <-> repro.runtime cycle
     from repro.core.indicator import SimulationCounter
-
-#: Backend retries per failed chunk before the serial fallback.
-MAX_RETRIES = 2
-
-#: Sleep before retry ``k`` is ``k * RETRY_BACKOFF_S`` seconds.
-RETRY_BACKOFF_S = 0.05
 
 
 def _timed(fn: Callable, /, *args) -> tuple[Any, float]:
@@ -224,8 +217,8 @@ class Executor:
 
     def _submit_safe(self, fn, args) -> Future:
         """Submit to the pool; a submit-time failure (shut-down or broken
-        pool) is converted into a failed future so the per-chunk retry /
-        fallback path handles it uniformly."""
+        pool) is converted into a failed future so the per-chunk
+        fallback handles it uniformly."""
         try:
             return self._backend.submit(_timed, fn, *args)
         except (RuntimeError, BrokenExecutor) as exc:
@@ -234,31 +227,19 @@ class Executor:
             return failed
 
     def _collect(self, fn, index, args, size, future, records) -> Any:
-        """Resolve one chunk: retries on the backend, then serial fallback."""
-        attempts = 1
-        while True:
-            try:
-                result, wall = future.result()
-                records.append(ChunkRecord(
-                    index=index, size=size, attempts=attempts,
-                    wall_time_s=wall, where=self.config.backend))
-                return result
-            except Exception as exc:
-                if isinstance(exc, BrokenExecutor):
-                    self._broken = True
-                if self._broken or attempts > MAX_RETRIES:
-                    return self._fallback(fn, index, args, size, attempts,
-                                          records)
-                # Drain fast under a pending graceful shutdown: the
-                # retry itself still happens (the chunk must complete
-                # for the result to stay deterministic), but the
-                # backoff sleep would only delay the final checkpoint.
-                if not shutdown_requested():
-                    time.sleep(RETRY_BACKOFF_S * attempts)
-                attempts += 1
-                future = self._submit_safe(fn, args)
+        """Resolve one chunk: the pool's result, else the fallback."""
+        try:
+            result, wall = future.result()
+        except Exception as exc:
+            if isinstance(exc, BrokenExecutor):
+                self._broken = True
+            return self._fallback(fn, index, args, size, records)
+        records.append(ChunkRecord(index=index, size=size,
+                                   wall_time_s=wall,
+                                   where=self.config.backend))
+        return result
 
-    def _fallback(self, fn, index, args, size, attempts, records) -> Any:
+    def _fallback(self, fn, index, args, size, records) -> Any:
         try:
             result, wall = _timed(fn, *args)
         except Exception as exc:
@@ -267,15 +248,14 @@ class Executor:
                 f"backend and in the serial fallback: {exc}",
                 chunk_index=index) from exc
         records.append(ChunkRecord(
-            index=index, size=size, attempts=attempts, wall_time_s=wall,
+            index=index, size=size, wall_time_s=wall,
             where="serial-fallback", fell_back=True))
         return result
 
     def _run_serial(self, fn, index, args, size, records) -> Any:
         result, wall = _timed(fn, *args)
-        records.append(ChunkRecord(
-            index=index, size=size, attempts=1, wall_time_s=wall,
-            where="serial"))
+        records.append(ChunkRecord(index=index, size=size,
+                                   wall_time_s=wall, where="serial"))
         return result
 
     def _record(self, label, records, n_items, wall_time_s: float = 0.0,

@@ -24,11 +24,9 @@ class ChunkRecord:
         Position of the chunk in the plan (also the result order).
     size:
         Rows in the chunk (1 for ``iter_tasks`` tasks without sizes).
-    attempts:
-        Total attempts on the configured backend (1 = first try worked).
     wall_time_s:
-        Wall time of the successful attempt (task body only, excluding
-        queueing).
+        Wall time of the task body that produced the accepted result
+        (excluding queueing).
     where:
         Backend that produced the accepted result (``"serial"``,
         ``"process"`` or ``"serial-fallback"``).
@@ -38,7 +36,6 @@ class ChunkRecord:
 
     index: int
     size: int
-    attempts: int
     wall_time_s: float
     where: str
     fell_back: bool = False
@@ -60,11 +57,6 @@ class RunMetrics:
     @property
     def n_chunks(self) -> int:
         return len(self.records)
-
-    @property
-    def n_retries(self) -> int:
-        """Extra backend attempts beyond the first, summed over chunks."""
-        return sum(r.attempts - 1 for r in self.records)
 
     @property
     def n_fallbacks(self) -> int:
@@ -94,7 +86,6 @@ class RunMetrics:
             "n_items": self.n_items,
             "n_simulations": self.n_simulations,
             "n_chunks": self.n_chunks,
-            "n_retries": self.n_retries,
             "n_fallbacks": self.n_fallbacks,
             "items_per_s": self.items_per_s,
             "chunk_time_s": self.chunk_time_s,
@@ -114,7 +105,6 @@ class RunMetrics:
             f"({self.items_per_s:.0f} items/s)",
             f"  in-task time {self.chunk_time_s:.3f} s",
             f"  simulations  {self.n_simulations}",
-            f"  retries      {self.n_retries}",
             f"  fallbacks    {self.n_fallbacks}",
         ]
         return "\n".join(lines)
@@ -133,7 +123,6 @@ class RunMetrics:
             for record in run.records:
                 merged.records.append(ChunkRecord(
                     index=len(merged.records), size=record.size,
-                    attempts=record.attempts,
                     wall_time_s=record.wall_time_s, where=record.where,
                     fell_back=record.fell_back))
             merged.wall_time_s += run.wall_time_s

@@ -223,25 +223,6 @@ class ReadButterflySolver:
                 f"delta_vth must have shape (B, 6), got {delta_vth.shape}")
         return delta_vth
 
-    def _node_current(self, side_names, vin, vout, dv_load, dv_driver,
-                      dv_access, bl, wl):
-        """Net current *into* the half-cell output node.
-
-        Monotone decreasing in ``vout``: the pull-up contributions shrink
-        and the pull-down grows as the node rises.
-        """
-        load, driver, access = (self.cell.model(n) for n in side_names)
-        vdd = self.vdd
-        # pMOS load: drain at the node; current into node = -Ids.
-        i_load = -load.ids(vin, vout, vdd, dv_load)
-        # nMOS driver: drain at the node; current into node = -Ids.
-        i_driver = -driver.ids(vin, vout, 0.0, dv_driver)
-        # access nMOS between the bitline and the node; gate at WL.  The
-        # model handles either current direction (source/drain swap), so a
-        # low bitline correctly discharges the node during writes.
-        i_access = access.ids(wl, bl, vout, dv_access)
-        return i_load + i_driver + i_access
-
     def _solve_side(self, side: int, delta_vth: np.ndarray,
                     bl_voltage: float | None = None,
                     wl_voltage: float | None = None) -> np.ndarray:
@@ -325,7 +306,10 @@ class ReadButterflySolver:
         for _ in range(steps):
             np.add(lo, hi, out=mid)
             mid *= 0.5
-            # in-place node current, same op order as _node_current
+            # in-place net current into the node (monotone decreasing
+            # in mid), summed load, driver, access in that order: the
+            # order fixes the bits that stored results (checkpoints,
+            # cached margins) were computed with
             load.ids_into(vin, mid, self.vdd, dv_load, out=i_load,
                           workspace=workspace, assume_ordered=True)
             np.negative(i_load, out=i_load)

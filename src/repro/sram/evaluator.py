@@ -87,7 +87,8 @@ class CellEvaluator:
 
         Each cache entry is keyed on the exact physical-ΔVth bytes under
         ``level`` (one of :data:`repro.perf.cache.LEVELS`, naming
-        ``solver``'s depth); only missed rows hit the solver.  The butterfly bisection and the margin extraction are
+        ``solver``'s depth); only missed rows hit the solver.  The
+        butterfly bisection and the margin extraction are
         row-independent elementwise numpy ops, so solving a sub-batch
         of missed rows returns the same bits a full-batch solve would.
         """

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.errors import ClassifierError
 from repro.experiments import runner
 
 pytestmark = pytest.mark.filterwarnings(
@@ -31,6 +32,10 @@ class TestFlags:
     def test_bad_fault_spec_rejected(self, capsys):
         with pytest.raises(SystemExit, match="fault"):
             runner.main(QUICK + ["--inject-fault", "meteor"])
+        # simulation batches are not retried, so there is no solver fault
+        with pytest.raises(SystemExit,
+                           match="filter, is-weight, one-class"):
+            runner.main(QUICK + ["--inject-fault", "solver"])
 
 
 class TestReportRendering:
@@ -41,13 +46,13 @@ class TestReportRendering:
 
     def test_json_report_with_injected_fault(self, capsys):
         assert runner.main(QUICK + ["--health-policy", "recover",
-                                    "--inject-fault", "solver",
+                                    "--inject-fault", "one-class",
                                     "--report", "json"]) == 0
         out = capsys.readouterr().out
         payload = json.loads(out[out.index("{"):])["health"]
         assert payload["policy"] == "recover"
         assert payload["events"], "expected recovery events in the report"
-        assert payload["events"][0]["category"] == "solver"
+        assert payload["events"][0]["category"] == "one-class"
         assert payload["events"][0]["recovered"] is True
 
     def test_text_report_on_healthy_run(self, capsys):
@@ -58,5 +63,5 @@ class TestReportRendering:
         assert "no degradation detected" in out
 
     def test_strict_injection_fails_loudly(self):
-        with pytest.raises(Exception):
-            runner.main(QUICK + ["--inject-fault", "solver"])
+        with pytest.raises(ClassifierError):
+            runner.main(QUICK + ["--inject-fault", "one-class"])

@@ -13,6 +13,8 @@ def health_reports(result):
     return collect_runs(result)[0]
 
 
+# "solver" is no longer emitted, but checkpoints and service results may
+# hold solver events: as the default category it keeps them loadable
 def event(stage="stage1", category="solver", severity="warning",
           recovered=False, **details):
     return HealthEvent(stage=stage, category=category, severity=severity,

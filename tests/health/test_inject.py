@@ -11,13 +11,16 @@ class TestSpecGrammar:
             assert parse_fault_spec(kind) == (kind, count, skip)
 
     def test_count_and_skip_overrides(self):
-        assert parse_fault_spec("solver:3") == ("solver", 3, 0)
+        assert parse_fault_spec("one-class:3") == ("one-class", 3, 0)
         assert parse_fault_spec("filter:1:4") == ("filter", 1, 4)
         assert parse_fault_spec(" IS-WEIGHT:2:0 ") == ("is-weight", 2, 0)
 
-    @pytest.mark.parametrize("spec", ["gamma-ray", "solver:x",
+    # "solver" was a fault kind while simulation batches were retried;
+    # it is rejected like any unknown kind, whatever its suffix
+    @pytest.mark.parametrize("spec", ["gamma-ray", "solver", "solver:x",
                                       "solver:1:2:3", "solver:0",
-                                      "filter:1:-1"])
+                                      "one-class:x", "one-class:1:2:3",
+                                      "one-class:0", "filter:1:-1"])
     def test_malformed_specs_rejected(self, spec):
         with pytest.raises(ValueError):
             parse_fault_spec(spec)
@@ -26,7 +29,7 @@ class TestSpecGrammar:
 class TestFiringWindow:
     def test_disabled_injector_never_fires(self):
         injector = FaultInjector(None)
-        assert not any(injector.fire("solver") for _ in range(10))
+        assert not any(injector.fire("one-class") for _ in range(10))
         assert injector.fired == 0
 
     def test_fires_exactly_count_after_skip(self):
@@ -37,10 +40,10 @@ class TestFiringWindow:
         assert injector.fired == 2
 
     def test_other_kinds_are_not_opportunities(self):
-        injector = FaultInjector("solver:1:1")
-        assert not injector.fire("filter")  # not even counted
-        assert not injector.fire("solver")  # opportunity 0: skipped
-        assert injector.fire("solver")      # opportunity 1: fires
+        injector = FaultInjector("one-class:1:1")
+        assert not injector.fire("filter")     # not even counted
+        assert not injector.fire("one-class")  # opportunity 0: skipped
+        assert injector.fire("one-class")      # opportunity 1: fires
 
     def test_state_round_trip_resumes_sequence(self):
         a = FaultInjector("is-weight:2:1")

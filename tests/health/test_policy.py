@@ -43,7 +43,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="unknown fault kind"):
             HealthConfig(inject="meteor")
         with pytest.raises(ValueError, match="malformed"):
-            HealthConfig(inject="solver:one")
+            HealthConfig(inject="one-class:one")
 
     def test_valid_inject_spec_accepted(self):
         assert HealthConfig(inject="filter:2:1").inject == "filter:2:1"

@@ -19,8 +19,7 @@ import pytest
 from scipy.stats import norm
 
 from repro.checkpoint import CheckpointConfig, run_checkpointed
-from repro.errors import (CheckpointCrash, ClassifierError, ConvergenceError,
-                          DegradationError)
+from repro.errors import CheckpointCrash, ClassifierError, DegradationError
 from repro.health import HealthConfig
 from repro.runtime import BACKENDS
 
@@ -31,7 +30,6 @@ pytestmark = pytest.mark.filterwarnings(
 
 #: fault kind -> the typed error the strict policy must surface
 FAULTS = {
-    "solver": ConvergenceError,
     "filter": DegradationError,
     "is-weight": DegradationError,
     "one-class": ClassifierError,
@@ -39,7 +37,6 @@ FAULTS = {
 
 #: fault kind -> HealthEvent category its recovery is recorded under
 CATEGORY = {
-    "solver": "solver",
     "filter": "filter-degeneracy",
     "is-weight": "is-weight",
     "one-class": "one-class",
@@ -84,16 +81,6 @@ class TestRecoverCompletes:
         tolerance = Z_TOL * math.hypot(_standard_error(estimate),
                                        _standard_error(baseline))
         assert abs(estimate.pfail - baseline.pfail) <= tolerance
-
-    def test_solver_recovery_is_bit_identical_to_baseline(self, baseline):
-        """The solver fault fires pre-dispatch, so a retried simulation
-        returns exactly what the un-faulted one would have."""
-        estimate = make_estimator(health=recover("solver"),
-                                  seed=AGREEMENT_SEED).run(
-            target_relative_error=0.2)
-        assert estimate.pfail == baseline.pfail
-        assert estimate.n_simulations == baseline.n_simulations
-        assert estimate.health.recovered_count() >= 1
 
 
 class TestPermissiveRunsRecoverPaths:

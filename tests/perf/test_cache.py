@@ -168,6 +168,18 @@ class TestPersistence:
         cache = SolveCache.load(tmp_path, "fp")
         assert len(cache) == 0
 
+    def test_load_empty_file_degrades_to_empty(self, tmp_path):
+        SolveCache._file(tmp_path, "fp").write_bytes(b"")
+        assert len(SolveCache.load(tmp_path, "fp")) == 0
+
+    def test_load_truncated_file_degrades_to_empty(self, rng, tmp_path):
+        # a torn write: the archive's first half, central directory lost
+        cache = SolveCache("fp")
+        cache.store("exact", rows(rng, 4), np.zeros(4), np.zeros(4))
+        path = cache.save(tmp_path)
+        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+        assert len(SolveCache.load(tmp_path, "fp")) == 0
+
     def test_load_unknown_level_file_degrades_to_empty(self, rng,
                                                        tmp_path):
         # a file from a version with more levels than this one knows

@@ -14,7 +14,6 @@ from repro.core.indicator import FunctionIndicator
 from repro.core.naive import NaiveMonteCarlo
 from repro.rtn.model import ZeroRtnModel
 from repro.runtime import ExecutionConfig
-from repro.runtime import executor as executor_module
 from repro.variability.space import VariabilitySpace
 
 DIM = 4
@@ -109,11 +108,10 @@ class TestEcripseAcrossBackends:
         assert [p.as_dict() for p in result.trace] == \
             [p.as_dict() for p in serial.trace]
 
-    def test_worker_faults_do_not_corrupt_estimate(self, monkeypatch):
-        """Fault injection: chunks that raise on the pool are retried,
-        then recomputed serially, and the final estimate is
-        bit-identical to the healthy serial run."""
-        monkeypatch.setattr(executor_module, "RETRY_BACKOFF_S", 0.0)
+    def test_worker_faults_do_not_corrupt_estimate(self):
+        """Fault injection: chunks that raise on the pool are recomputed
+        serially, and the final estimate is bit-identical to the healthy
+        serial run."""
         healthy = _ecripse_result(_execution("serial"))
         faulty = _ecripse_result(
             _execution("process"),

@@ -1,5 +1,5 @@
 """Tests for the pluggable Executor: correctness on every backend,
-retry/fallback fault tolerance, chunking edge cases, telemetry."""
+serial-fallback fault tolerance, chunking edge cases, telemetry."""
 
 import os
 
@@ -10,7 +10,6 @@ from repro.core.indicator import SimulationCounter
 from repro.errors import BudgetExceededError, ExecutionError
 from repro.rng import spawn
 from repro.runtime import BACKENDS, ExecutionConfig, Executor
-from repro.runtime import executor as executor_module
 from repro.runtime.config import MIN_PURE_CHUNK as CHUNK
 
 
@@ -38,6 +37,14 @@ def fail_outside_pid(chunk, pid):
 def count_into(chunk, calls):
     calls.append(chunk.shape[0])
     return chunk
+
+
+def log_then_fail_outside_pid(chunk, pid, path):
+    # one line per call, appended from whichever process runs the chunk
+    where = "parent" if os.getpid() == pid else "pool"
+    with open(path, "a") as log:
+        log.write(where + "\n")
+    return fail_outside_pid(chunk, pid)
 
 
 def always_broken(chunk):
@@ -74,21 +81,27 @@ class TestMapChunks:
 
 
 class TestFaultTolerance:
-    @pytest.fixture(autouse=True)
-    def _no_backoff(self, monkeypatch):
-        monkeypatch.setattr(executor_module, "RETRY_BACKOFF_S", 0.0)
-
-    def test_process_failure_retried_then_falls_back(self):
-        """A chunk that raises on the pool is retried, then recomputed
-        serially in the parent without corrupting the result."""
+    def test_process_failure_falls_back(self):
+        """A chunk that raises on the pool is recomputed serially in the
+        parent without corrupting the result."""
         block = np.arange(4 * CHUNK, dtype=float)
         with Executor(_cfg("process")) as ex:
             out = ex.map_chunks(fail_outside_pid, block, os.getpid())
             metrics = ex.last_metrics
         assert np.array_equal(out, block * 2)
         assert metrics.n_fallbacks == metrics.n_chunks == 4
-        assert metrics.n_retries == 4 * executor_module.MAX_RETRIES
         assert all(r.where == "serial-fallback" for r in metrics.records)
+
+    def test_failed_chunk_is_submitted_to_the_pool_once(self, tmp_path):
+        """A failing chunk is deterministic work: it is never
+        re-submitted, and it runs exactly once more, in the parent."""
+        log = tmp_path / "calls.log"
+        with Executor(_cfg("process")) as ex:
+            out = ex.map_chunks(log_then_fail_outside_pid,
+                                np.arange(8.0), os.getpid(), str(log))
+            assert ex.last_metrics.n_fallbacks == 1
+        assert np.array_equal(out, np.arange(8.0) * 2)
+        assert sorted(log.read_text().split()) == ["parent", "pool"]
 
     def test_unpicklable_task_degrades_to_serial(self):
         """A lambda cannot cross the process boundary; the run must
@@ -197,7 +210,6 @@ class TestTelemetry:
             record = ex.last_metrics.records[0]
         assert record.wall_time_s >= 0.0
         assert record.where == "process"
-        assert record.attempts == 1
 
     def test_executor_reusable_after_close(self):
         ex = Executor(_cfg("process"))

@@ -10,9 +10,9 @@ def _metrics() -> RunMetrics:
         label="unit", backend="process", workers=4, wall_time_s=2.0,
         n_items=200, n_simulations=150,
         records=[
-            ChunkRecord(index=0, size=100, attempts=1, wall_time_s=0.9,
+            ChunkRecord(index=0, size=100, wall_time_s=0.9,
                         where="process"),
-            ChunkRecord(index=1, size=100, attempts=3, wall_time_s=1.0,
+            ChunkRecord(index=1, size=100, wall_time_s=1.0,
                         where="serial-fallback", fell_back=True),
         ])
 
@@ -21,7 +21,6 @@ class TestRunMetrics:
     def test_derived_counts(self):
         m = _metrics()
         assert m.n_chunks == 2
-        assert m.n_retries == 2
         assert m.n_fallbacks == 1
         assert m.items_per_s == 100.0
         assert m.chunk_time_s == 1.9

@@ -67,11 +67,12 @@ class TestStability:
         (EcripseConfig.quick(), {"policy": "recover",
                                  "inject": "filter:2:1"},
          "68dcbeacdb14da7e"),
-        (EcripseConfig.quick(), {"policy": "strict", "inject": "solver"},
-         "318a42b7f2205a5e"),
+        (EcripseConfig.quick(),
+         {"policy": "strict", "inject": "one-class"},
+         "6c9ab2ec41055964"),
         (EcripseConfig(), {}, "5836b10f6acdea12"),
     ], ids=["quick", "quick-permissive", "quick-recover-filter",
-            "quick-strict-solver", "full"])
+            "quick-strict-one-class", "full"])
     def test_estimator_fingerprints_are_pinned(self, config, health,
                                                pinned):
         # checkpoints are keyed on these values: the health config
