@@ -1,7 +1,7 @@
 """CLI entry point: ``python -m repro.chaos`` runs the harness.
 
 Exit status 0 when every case satisfies the crash-consistency
-invariants, 1 otherwise (CI's ``service-chaos`` job gates on this).
+invariants, 1 otherwise (CI's ``service`` job gates on this).
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ Each case is one process-internal "crash": :class:`ChaosKill` unwinds
 the synchronous drive loop the way ``kill -9`` leaves the disk, and
 injected ``OSError`` exercises the worker's failure/retry path.  Entry
 points: :func:`run_harness` (library) and ``python -m repro.chaos``
-(CLI; the CI ``service-chaos`` job runs ``--quick``).
+(CLI; the CI ``service`` job runs ``--quick``).
 """
 
 from __future__ import annotations
@@ -52,8 +52,10 @@ from repro.service.server import ServeConfig, ServiceDaemon
 from repro.service.spec import JobSpec
 
 #: the default workload: small enough for CI, yet crossing several
-#: checkpoint publishes, event appends and record replaces.
-DEFAULT_SPEC = JobSpec(kind="naive", n_samples=1500, seed=13,
+#: checkpoint publishes, event appends and record replaces.  At 0.5 V
+#: its reference run finds failing samples (4 of 1,500), so a resume
+#: that redrew or relabelled samples would move ``pfail``.
+DEFAULT_SPEC = JobSpec(kind="naive", n_samples=1500, seed=13, vdd=0.5,
                        target_relative_error=1e-9, checkpoint_every=500)
 
 #: scheduler pops allowed per drive (a retry loop that does not
@@ -152,7 +154,10 @@ def record_write_points(root: Path,
 
     Runs the reference job under a purely observing chaos plane and
     returns the durable write points plus the reference result
-    (``pfail``, ``n_simulations``, ``fingerprint``).
+    (``pfail``, ``n_simulations``, ``fingerprint``).  A reference
+    without a failing sample is refused with :class:`ValueError`:
+    every case would then compare ``pfail`` 0.0 with 0.0, which a
+    resume that redrew samples would also pass.
     """
     plane = ChaosFsOps(record=True)
     previous = install_fs(plane)
@@ -167,6 +172,11 @@ def record_write_points(root: Path,
         raise RuntimeError(
             f"reference run did not complete: {done.state.value} "
             f"({done.error})")
+    if not done.pfail:
+        raise ValueError(
+            f"reference run found no failing sample in "
+            f"{done.n_simulations} simulations; choose a spec whose "
+            f"pfail is non-zero (e.g. a lower vdd)")
     ordinals: dict[str, int] = dict.fromkeys(DURABLE_OPS, 0)
     points = []
     for op, path in plane.log:

@@ -41,10 +41,10 @@ def run_campaign(out_dir, config: EcripseConfig | None = None,
     one mid-flight.  A campaign owns its output files, so the JSON
     results are refreshed with an explicit ``overwrite=True``.
 
-    ``perf`` selects the hot-path acceleration policy for every
-    experiment (see :mod:`repro.perf`).  A ``cache_path``-equipped
-    config saves solved margins to disk, but only a rerun with the same
-    seed solves the same rows again and hits them.
+    ``perf`` names the solve-cache directory of every experiment (see
+    :mod:`repro.perf`).  A ``cache_path``-equipped config saves solved
+    margins to disk, but only a rerun with the same seed solves the
+    same rows again and hits them.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -60,7 +60,7 @@ def run_fig6(target_relative_error: float = 0.02,
     max_conventional_sims:
         Safety cap for the baseline.
     perf:
-        Hot-path acceleration policy (see :mod:`repro.perf`); both
+        Names the solve-cache directory (see :mod:`repro.perf`); both
         estimators share the evaluator.
     """
     setup = paper_setup(vdd=vdd, perf=perf)

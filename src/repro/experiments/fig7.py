@@ -87,7 +87,7 @@ def run_fig7(alpha_a: float = 0.3, alpha_b: float = 0.5,
     from their result files and their final state restored, so the
     (b) run still reuses the (a) run's boundary and classifier.
 
-    ``perf`` tunes the hot-path acceleration; all three runs (the naive
+    ``perf`` names the solve-cache directory; all three runs (the naive
     baseline included) share one evaluator.
     """
     setup_a = paper_setup(vdd=TABLE_I.vdd_low, alpha=alpha_a, perf=perf)

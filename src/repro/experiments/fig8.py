@@ -79,7 +79,7 @@ def run_fig8(alphas=DEFAULT_ALPHAS, target_relative_error: float = 0.05,
     ``nortn`` and each sweep point under ``alpha-NN``; an interrupted
     invocation resumes mid-point without repeating finished points.
 
-    ``perf`` tunes the hot-path acceleration (see :mod:`repro.perf`);
+    ``perf`` names the solve-cache directory (see :mod:`repro.perf`);
     the evaluator is shared across the no-RTN point and every sweep
     point.
     """

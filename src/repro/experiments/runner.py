@@ -81,17 +81,11 @@ def _add_common_args(cmd: argparse.ArgumentParser) -> None:
     # so the recovery paths are exercisable from the shell.
     cmd.add_argument("--inject-fault", default=None,
                      help=argparse.SUPPRESS)
-    cmd.add_argument("--exact-eval", action="store_true",
-                     help="disable the hot-path acceleration (adaptive "
-                          "screening and any solve cache); results are "
-                          "bit-identical either way, this is the escape "
-                          "hatch / A-B reference")
     cmd.add_argument("--solve-cache", default=None, metavar="DIR",
                      help="attach a solve cache kept in this "
                           "directory; it is reloaded on the next "
                           "invocation and hits when a same-seed rerun "
-                          "solves the same rows (ignored with "
-                          "--exact-eval)")
+                          "solves the same rows")
 
 
 def _add_checkpoint_args(cmd: argparse.ArgumentParser) -> None:
@@ -322,8 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     config = (QUICK if args.quick else EcripseConfig()).with_(
         execution=execution, health=health)
     checkpoint = _checkpoint_config(args)
-    perf = (PerfConfig.exact() if args.exact_eval
-            else PerfConfig(cache_path=args.solve_cache))
+    perf = PerfConfig(cache_path=args.solve_cache)
 
     coordinator = None
     if checkpoint is not None:

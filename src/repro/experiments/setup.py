@@ -83,10 +83,9 @@ def paper_setup(vdd: float | None = None, alpha: float | None = None,
     grid_points:
         Butterfly grid resolution of the evaluator.
     perf:
-        Hot-path acceleration policy (see :mod:`repro.perf`); ``None``
-        means the default config -- adaptive labelling, result-neutral,
-        and no solve cache.  ``PerfConfig.exact()`` restores the
-        unaccelerated legacy evaluator.
+        Names the solve-cache directory (see :mod:`repro.perf`);
+        ``None`` means no solve cache.  The evaluator always labels on
+        the screening ladder.
     """
     vdd = conditions.vdd_nominal if vdd is None else float(vdd)
     space = VariabilitySpace.from_pelgrom(conditions.avth_mv_nm,

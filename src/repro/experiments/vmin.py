@@ -67,7 +67,7 @@ def find_vmin(pfail_budget: float, vdd_low: float = 0.45,
     resolution:
         Bisection stops when the bracket is narrower than this [V].
     perf:
-        Hot-path acceleration policy.  Every probe point runs at a
+        Names the solve-cache directory.  Every probe point runs at a
         different supply (a different solve fingerprint); with
         ``cache_path`` set, only a repeated search with the same seed
         solves the same rows again and hits the cache.

@@ -141,7 +141,7 @@ class FingerprintContract:
         ``tests/service/test_fingerprints.py``).
     excluded:
         Fields that provably cannot change the result (scheduling
-        hints, execution backend, result-neutral acceleration policy);
+        hints, execution backend, solve-cache directory);
         they must stay out of the fingerprint (the invariance half).
     exclusion_constant:
         Name of an in-module constant (set/frozenset of field-name
@@ -224,12 +224,12 @@ FINGERPRINT_CONTRACTS: tuple[FingerprintContract, ...] = (
     FingerprintContract(
         cls="repro.runtime.config.ExecutionConfig",
         excluded=frozenset({"backend", "workers"})),
-    # The perf policy is result-neutral by the PR 5 bit-identity
-    # contract; a field someone believes belongs in `identity` here is
-    # a design alarm, not a lint tweak.
+    # The solve-cache directory is result-neutral: a hit returns the
+    # floats a fresh solve would.  A field someone believes belongs in
+    # `identity` here is a design alarm, not a lint tweak.
     FingerprintContract(
         cls="repro.perf.config.PerfConfig",
-        excluded=frozenset({"adaptive", "cache_path"})),
+        excluded=frozenset({"cache_path"})),
 )
 
 

@@ -109,17 +109,6 @@ class ClassifierBlockade:
     def n_training_samples(self) -> int:
         return 0 if self._x_train is None else self._x_train.shape[0]
 
-    @property
-    def has_both_classes(self) -> bool:
-        """Whether the accumulated training set contains both classes.
-
-        ``False`` means every label seen so far is on one side, so
-        :meth:`update` cannot (re)fit yet -- the condition the health
-        layer's classifier-blockade monitor watches for.
-        """
-        return (self._y_train is not None
-                and np.unique(self._y_train).size >= 2)
-
     # ------------------------------------------------------------------
     def train(self, x: np.ndarray, fails: np.ndarray) -> None:
         """(Re)train from scratch on points ``x`` (B, dim) with boolean

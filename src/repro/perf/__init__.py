@@ -15,10 +15,10 @@ Three cooperating pieces, all result-neutral:
 * :class:`~repro.perf.profile.StageProfiler` -- ``perf_counter`` spans
   around the estimator stages, surfaced through ``--report``.
 
-:func:`build_evaluator` assembles an evaluator from a
-:class:`~repro.perf.config.PerfConfig`; the CLI's ``--exact-eval`` flag
-maps to :meth:`PerfConfig.exact`, which reproduces the legacy
-fixed-budget path exactly.
+:func:`build_evaluator` builds the one evaluator the program labels
+through, with the solve cache a :class:`~repro.perf.config.PerfConfig`
+names.  The exact :class:`~repro.sram.evaluator.CellEvaluator` remains
+the base class and the reference tests build directly.
 """
 
 from __future__ import annotations
@@ -56,27 +56,16 @@ _REGISTERED_CACHES: dict[tuple[str, str], SolveCache] = {}
 
 def build_evaluator(cell: SramCell, space: VariabilitySpace,
                     vdd: float | None = None, grid_points: int = 61,
-                    perf: PerfConfig | None = None) -> CellEvaluator:
-    """Assemble a (possibly accelerated) cell evaluator.
-
-    ``perf=None`` means the default :class:`PerfConfig`: adaptive
-    screening, no cache.  With ``PerfConfig.exact()`` this returns a
-    plain :class:`~repro.sram.evaluator.CellEvaluator`, byte-for-byte
-    the legacy construction.  A solve cache is attached only when
-    ``perf.cache_path`` names its directory.
+                    perf: PerfConfig | None = None
+                    ) -> AdaptiveMarginEvaluator:
+    """The screening-ladder evaluator, with a solve cache when
+    ``perf.cache_path`` names its directory (``perf=None``: no cache).
     """
-    if perf is None:
-        perf = PerfConfig()
-    if perf.adaptive:
-        evaluator = AdaptiveMarginEvaluator(
-            cell, space, vdd=vdd, grid_points=grid_points)
-    else:
-        evaluator = CellEvaluator(cell, space, vdd=vdd,
-                                  grid_points=grid_points)
-    if perf.cache_path is not None:
-        # Attach the cache after construction: the fingerprint comes
-        # from the finished evaluator, so adaptive and plain evaluators
-        # never load each other's files.
+    evaluator = AdaptiveMarginEvaluator(cell, space, vdd=vdd,
+                                        grid_points=grid_points)
+    if perf is not None and perf.cache_path is not None:
+        # Attach the cache after construction: its file is keyed on
+        # the finished evaluator's solve fingerprint.
         fingerprint = evaluator.solve_fingerprint()
         key = (str(Path(perf.cache_path).resolve()), fingerprint)
         cache = _REGISTERED_CACHES.get(key)

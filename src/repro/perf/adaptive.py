@@ -66,7 +66,7 @@ from repro.perf.cache import SolveCache
 from repro.rng import stable_seed
 from repro.sram.butterfly import BisectionState, ReadButterflySolver
 from repro.sram.cell import SramCell
-from repro.sram.evaluator import CellEvaluator
+from repro.sram.evaluator import MARGIN_LEVELS, CellEvaluator
 from repro.sram.margins import (lobe_margins, widest_cut_columns,
                                 window_lobe_margins)
 from repro.variability.space import VariabilitySpace
@@ -113,12 +113,11 @@ class AdaptiveMarginEvaluator(CellEvaluator):
     screening ladder.
 
     Drop-in replacement for :class:`~repro.sram.evaluator.CellEvaluator`
-    (built by :func:`repro.perf.build_evaluator` when the
-    :class:`~repro.perf.config.PerfConfig` enables adaptivity).  Margins
-    stay exact; only :meth:`failure_labels` takes the ladder, and its
-    labels match the exact path bit for bit by the guard-band argument
-    in the module docstring.  The ladder is :data:`LADDER`, not a
-    parameter.
+    and the one evaluator :func:`repro.perf.build_evaluator` builds.
+    Margins stay exact; only :meth:`failure_labels` takes the ladder,
+    and its labels match the exact path bit for bit by the guard-band
+    argument in the module docstring.  The ladder is :data:`LADDER`,
+    not a parameter.
 
     Parameters
     ----------
@@ -130,11 +129,9 @@ class AdaptiveMarginEvaluator(CellEvaluator):
 
     def __init__(self, cell: SramCell, space: VariabilitySpace,
                  vdd: float | None = None, grid_points: int = 61,
-                 margin_levels: int = 64, max_batch: int = 512,
-                 cache: SolveCache | None = None):
+                 max_batch: int = 512, cache: SolveCache | None = None):
         super().__init__(cell, space, vdd=vdd, grid_points=grid_points,
-                         margin_levels=margin_levels, max_batch=max_batch,
-                         cache=cache)
+                         max_batch=max_batch, cache=cache)
         exact = self.solver.bisection_iterations
         # Same grid and margin levels as the exact solver: the guard
         # band only bounds the bisection-depth error, so no rung may
@@ -229,7 +226,7 @@ class AdaptiveMarginEvaluator(CellEvaluator):
             nominal = ReadButterflySolver(
                 self.cell, vdd=self.vdd, grid_points=points,
                 bisection_iterations=LADDER[0][0]).solve(np.zeros((1, 6)))
-            centres = widest_cut_columns(nominal, self.margin_levels)
+            centres = widest_cut_columns(nominal, MARGIN_LEVELS)
             self._window = np.unique(np.clip(
                 centres[:, None] + np.arange(-WINDOW_HALF, WINDOW_HALF + 1),
                 0, points - 1))
@@ -259,7 +256,7 @@ class AdaptiveMarginEvaluator(CellEvaluator):
             curves, state = solver.solve_with_state(dvth[ids],
                                                     columns=self.window)
             w0[todo], w1[todo] = window_lobe_margins(
-                curves, state, self.window, self.margin_levels)
+                curves, state, self.window, MARGIN_LEVELS)
             if self.cache is not None:
                 self.cache.store(WINDOW_LEVEL, dvth[ids], w0[todo],
                                  w1[todo])
@@ -300,7 +297,7 @@ class AdaptiveMarginEvaluator(CellEvaluator):
             ids = np.flatnonzero(todo)
             solved.append((ids, *solver.solve_with_state(dvth[ids])))
         for ids, curves, _ in solved:
-            m0[ids], m1[ids] = lobe_margins(curves, self.margin_levels)
+            m0[ids], m1[ids] = lobe_margins(curves, MARGIN_LEVELS)
             if self.cache is not None:
                 self.cache.store(level, dvth[ids], m0[ids], m1[ids])
         margin = self._select_margin(m0[rows], m1[rows], which)

@@ -1,14 +1,14 @@
-"""Hot-path acceleration knobs.
+"""Where the hot path keeps its solve cache.
 
-:class:`PerfConfig` selects how aggressively the margin evaluator may
-trade per-sample work for speed.  Every setting is *result-neutral* by
-construction: each rung of the adaptive screening ladder labels only
-rows outside a provably safe guard band and passes the rest to a deeper
-rung (see :mod:`repro.perf.adaptive`), and the solve cache
-returns the exact floats a fresh solve would produce, so estimates are
-bit-identical whether acceleration is on or off.  The config therefore
-deliberately does **not** participate in checkpoint fingerprints, just
-like :class:`~repro.runtime.config.ExecutionConfig`.
+:class:`PerfConfig` names the directory of the opt-in
+:class:`~repro.perf.cache.SolveCache`, and nothing else: the evaluator
+always labels on the screening ladder of
+:mod:`repro.perf.adaptive`, whose labels are bit-identical to the exact
+solve's, and the cache returns the exact floats a fresh solve would
+produce.  Estimates are therefore the same with or without a cache
+directory, so the config deliberately does **not** participate in
+checkpoint fingerprints, just like
+:class:`~repro.runtime.config.ExecutionConfig`.
 """
 
 from __future__ import annotations
@@ -18,17 +18,10 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class PerfConfig:
-    """Acceleration policy for the margin-evaluation hot path.
+    """The solve-cache directory of the margin-evaluation hot path.
 
     Parameters
     ----------
-    adaptive:
-        Label every batch on the screening ladder of
-        :class:`~repro.perf.adaptive.AdaptiveMarginEvaluator` -- 8, 12
-        and 20 bisection steps, then the exact 40 for rows no rung could
-        label (default on; ``False`` restores the fixed-budget exact
-        path).  The ladder and the guard band's safety factor are
-        module constants, not settings.
     cache_path:
         Optional directory for the :class:`~repro.perf.cache.SolveCache`
         (``--solve-cache``).  Without it the evaluator has no cache;
@@ -38,15 +31,4 @@ class PerfConfig:
         after every run), one file per solve fingerprint.
     """
 
-    adaptive: bool = True
     cache_path: str | None = None
-
-    @classmethod
-    def exact(cls) -> "PerfConfig":
-        """The unaccelerated legacy path (``--exact-eval``).
-
-        Disables adaptivity, reproducing the fixed-budget solve -- the
-        reference every acceleration is gated bit-identical against in
-        ``bench_hotpath``.
-        """
-        return cls(adaptive=False)

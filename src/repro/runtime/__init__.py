@@ -20,11 +20,7 @@ from repro.runtime.chunking import chunk_sizes, plan_chunks
 from repro.runtime.config import BACKENDS, ExecutionConfig
 from repro.runtime.executor import Executor
 from repro.runtime.metrics import ChunkRecord, RunMetrics
-from repro.runtime.signals import (
-    GracefulShutdown,
-    default_coordinator,
-    shutdown_requested,
-)
+from repro.runtime.signals import GracefulShutdown, default_coordinator
 from repro.runtime.tasks import (
     absorb_perf_stats,
     evaluate_indicator_stats,
@@ -49,5 +45,4 @@ __all__ = [
     "perf_metadata",
     "perf_stats_delta",
     "plan_chunks",
-    "shutdown_requested",
 ]

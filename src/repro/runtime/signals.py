@@ -114,8 +114,3 @@ _DEFAULT = GracefulShutdown()
 def default_coordinator() -> GracefulShutdown:
     """The process-wide coordinator (install it from an entry point)."""
     return _DEFAULT
-
-
-def shutdown_requested() -> bool:
-    """Cheap query used at checkpoint-safe boundaries."""
-    return _DEFAULT.requested

@@ -550,8 +550,7 @@ class ServiceDaemon:
                 return "lease-lost"
             return None
 
-        perf = (PerfConfig(cache_path=self.config.solve_cache)
-                if self.config.solve_cache is not None else None)
+        perf = PerfConfig(cache_path=self.config.solve_cache)
         try:
             estimate = execute(record.spec,
                                self.store.checkpoint_dir(job_id),

@@ -1,10 +1,16 @@
 """Cell evaluators and failure indicators.
 
-:class:`CellEvaluator` is the fast (vectorised) path: whitened shift
-vectors in, signed lobe margins out.  :class:`SpiceCellEvaluator` computes
-the same margins through the generic MNA engine one cell at a time; it is
-orders of magnitude slower and exists to cross-validate the fast path and
-to support arbitrary netlist modifications.
+:class:`CellEvaluator` is the fast (vectorised) exact path: whitened
+shift vectors in, signed lobe margins out.  The program labels through
+its screening-ladder subclass,
+:class:`~repro.perf.adaptive.AdaptiveMarginEvaluator`, whose labels are
+bit-identical; the base class is the reference that tests and
+``benchmarks/bench_hotpath.py`` build directly.
+:class:`SpiceCellEvaluator` computes the same margins through the
+generic MNA engine one cell at a time, at the same
+:data:`MARGIN_LEVELS`; it is orders of magnitude slower and exists to
+cross-validate the fast path and to support arbitrary netlist
+modifications.
 
 The indicator classes adapt an evaluator to the estimator protocol of
 :mod:`repro.core.indicator`: a batch of points in the (total, whitened)
@@ -32,6 +38,11 @@ from repro.variability.space import VariabilitySpace
 if TYPE_CHECKING:  # avoid the repro.perf -> evaluator import cycle
     from repro.perf.cache import SolveCache
 
+#: Cut levels of the read-margin extraction (:func:`lobe_margins`) on
+#: every labelling path and in the SPICE reference that validates it.
+#: Every solve fingerprint hashes it.
+MARGIN_LEVELS = 64
+
 
 class CellEvaluator:
     """Vectorised margin evaluation in the whitened variability space.
@@ -58,8 +69,7 @@ class CellEvaluator:
 
     def __init__(self, cell: SramCell, space: VariabilitySpace,
                  vdd: float | None = None, grid_points: int = 61,
-                 margin_levels: int = 64, max_batch: int = 512,
-                 cache: "SolveCache | None" = None):
+                 max_batch: int = 512, cache: "SolveCache | None" = None):
         if space.dim != 6:
             raise ValueError(
                 f"cell evaluator needs a 6-D space, got {space.dim}")
@@ -69,7 +79,6 @@ class CellEvaluator:
         self.space = space
         self.solver = ReadButterflySolver(cell, vdd=vdd,
                                           grid_points=grid_points)
-        self.margin_levels = margin_levels
         self.max_batch = max_batch
         self.cache = cache
         # perf-counter deltas absorbed from out-of-process workers,
@@ -102,7 +111,7 @@ class CellEvaluator:
             dvth = self.space.to_physical(x[start:stop])
             if self.cache is None:
                 curves = solver.solve(dvth)
-                r0, r1 = lobe_margins(curves, self.margin_levels)
+                r0, r1 = lobe_margins(curves, MARGIN_LEVELS)
                 rnm0[start:stop] = r0
                 rnm1[start:stop] = r1
                 continue
@@ -110,7 +119,7 @@ class CellEvaluator:
             if not hit.all():
                 miss = ~hit
                 curves = solver.solve(dvth[miss])
-                r0, r1 = lobe_margins(curves, self.margin_levels)
+                r0, r1 = lobe_margins(curves, MARGIN_LEVELS)
                 self.cache.store(level, dvth[miss], r0, r1)
                 c0[miss] = r0
                 c1[miss] = r1
@@ -168,7 +177,7 @@ class CellEvaluator:
 
     def _fingerprint_seed(self) -> int:
         return stable_seed("solve", repr(self.cell), self.vdd,
-                           self.solver.grid.size, self.margin_levels,
+                           self.solver.grid.size, MARGIN_LEVELS,
                            self.solver.bisection_iterations)
 
     @property
@@ -241,7 +250,7 @@ class SpiceCellEvaluator:
             curves = ButterflyCurves(grid=self.grid,
                                      vtc_a=vtcs[0][None, :],
                                      vtc_b=vtcs[1][None, :], vdd=self.vdd)
-            r0, r1 = lobe_margins(curves)
+            r0, r1 = lobe_margins(curves, MARGIN_LEVELS)
             rnm0[i] = r0[0]
             rnm1[i] = r1[0]
         return rnm0, rnm1

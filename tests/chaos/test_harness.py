@@ -19,7 +19,9 @@ from repro.chaos.harness import (
 )
 from repro.service.spec import JobSpec
 
-SPEC = JobSpec(kind="naive", n_samples=600, seed=13,
+#: at 0.5 V the reference run fails on 2 of its 600 samples, so a
+#: resume that redrew samples would move pfail
+SPEC = JobSpec(kind="naive", n_samples=600, seed=13, vdd=0.5,
                target_relative_error=1e-9, checkpoint_every=300)
 
 
@@ -36,6 +38,7 @@ class TestRecording:
         # one lifecycle crosses all three durable publish kinds
         assert ops == {"replace", "rename", "append"}
         assert reference["n_simulations"] == 600
+        assert reference["pfail"] == 2 / 600
         assert len(reference["fingerprint"]) == 16
 
     def test_ordinals_count_per_op(self, recording):
@@ -72,13 +75,23 @@ class TestInjectedCrashes:
         assert result.outcome in ("done-identical", "dead", "unacked")
 
     def test_mini_sweep_passes(self, tmp_path):
-        mini = JobSpec(kind="naive", n_samples=200, seed=13,
+        mini = JobSpec(kind="naive", n_samples=200, seed=13, vdd=0.5,
                        target_relative_error=1e-9,
                        checkpoint_every=200)
         report = run_harness(tmp_path, spec=mini, quick=True)
         assert report.passed
         assert report.cases
+        assert report.reference_pfail == 2 / 200
         assert report.reference_simulations == 200
+
+    def test_zero_failure_reference_is_refused(self, tmp_path):
+        """At 0.7 V the same 200 samples never fail, so no case could
+        tell a redrawn resume from a faithful one."""
+        blind = JobSpec(kind="naive", n_samples=200, seed=13,
+                        target_relative_error=1e-9,
+                        checkpoint_every=200)
+        with pytest.raises(ValueError, match="no failing sample"):
+            record_write_points(tmp_path, blind)
 
 
 class TestChaosConfig:

@@ -59,6 +59,21 @@ class TestParser:
             assert info.value.code == 2, command
             assert "invalid choice: 'thread'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        "fig6", "fig7", "fig8", "ablations", "campaign", "vmin",
+        "estimate", "array"])
+    def test_exact_eval_is_an_argparse_error(self, command, capsys):
+        """The screening ladder is the only label path: no subcommand
+        takes the old switch back to the exact evaluator."""
+        argv = [command, "--exact-eval"]
+        if command == "vmin":
+            argv += ["--budget", "1000"]
+        with pytest.raises(SystemExit) as info:
+            _build_parser().parse_args(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments: --exact-eval" in \
+            capsys.readouterr().err
+
     def test_non_positive_workers_rejected(self):
         with pytest.raises(SystemExit):
             _build_parser().parse_args(["fig7", "--workers", "0"])

@@ -259,13 +259,6 @@ class TestBuildEvaluator:
         assert isinstance(evaluator, AdaptiveMarginEvaluator)
         assert evaluator.cache is None
 
-    def test_exact_config_restores_legacy_construction(self, paper_cell,
-                                                       paper_space):
-        ev = build_evaluator(paper_cell, paper_space,
-                             perf=PerfConfig.exact())
-        assert type(ev) is CellEvaluator
-        assert ev.cache is None
-
     def test_cache_path_persists_and_reloads(self, paper_cell, paper_space,
                                              rng, tmp_path):
         import repro.perf as perf_pkg
@@ -290,8 +283,13 @@ class TestBuildEvaluator:
         params = inspect.signature(AdaptiveMarginEvaluator).parameters
         assert "coarse_iterations" not in params
         assert "guard_safety" not in params
+        # one margin resolution, MARGIN_LEVELS, on every label path
+        for cls in (CellEvaluator, AdaptiveMarginEvaluator):
+            assert "margin_levels" not in \
+                inspect.signature(cls).parameters
+        # the ladder is the only evaluator: no switch back to exact
         assert [f.name for f in dataclasses.fields(PerfConfig)] == [
-            "adaptive", "cache_path"]
+            "cache_path"]
         fast = AdaptiveMarginEvaluator(paper_cell, paper_space)
         depths = [solver.bisection_iterations for solver, _, _
                   in fast.rungs]

@@ -8,6 +8,8 @@ produces -- on every backend, and across a kill/resume cycle.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.checkpoint import CheckpointConfig, run_checkpointed
@@ -17,15 +19,26 @@ from repro.errors import CheckpointCrash
 from repro.experiments.setup import paper_setup
 from repro.perf import PerfConfig, SolveCache, save_registered_caches
 from repro.runtime import ExecutionConfig
+from repro.sram.evaluator import CellEvaluator
 
 TINY = EcripseConfig(n_particles=40, n_iterations=3, k_train=64,
                      stage2_batch=400, min_stage2_batches=2,
                      max_statistical_samples=4000)
 
 
-def run_once(perf, seed=99, execution=None, checkpoint=None,
-             crash_budget=None):
-    setup = paper_setup(alpha=0.3, perf=perf)
+def exact_setup():
+    """``paper_setup(alpha=0.3)`` labelled by the exact
+    :class:`CellEvaluator`, the reference every accelerated run must
+    match bit for bit."""
+    setup = paper_setup(alpha=0.3)
+    evaluator = CellEvaluator(setup.cell, setup.space, vdd=setup.vdd)
+    return dataclasses.replace(setup, evaluator=evaluator).with_alpha(0.3)
+
+
+def run_once(perf=None, seed=99, execution=None, checkpoint=None,
+             crash_budget=None, setup=None):
+    if setup is None:
+        setup = paper_setup(alpha=0.3, perf=perf)
     config = TINY if execution is None else TINY.with_(execution=execution)
     estimator = EcripseEstimator(setup.space, setup.indicator,
                                  setup.rtn_model, config=config, seed=seed)
@@ -49,7 +62,7 @@ def assert_same_result(a, b):
 class TestEcripseBitIdentity:
     @pytest.fixture(scope="class")
     def exact(self):
-        return run_once(PerfConfig.exact())[0]
+        return run_once(setup=exact_setup())[0]
 
     def test_adaptive_plus_cache_matches_exact(self, exact, tmp_path):
         fast, estimator = run_once(PerfConfig(cache_path=str(tmp_path)))
@@ -63,14 +76,16 @@ class TestEcripseBitIdentity:
         # run refines more than a bulk workload; the >=2x gate lives in
         # benchmarks/bench_hotpath.py on the full Fig. 8 sweep, where
         # the shared cache compounds the saving.
-        fast, _ = run_once(PerfConfig())
+        fast, _ = run_once()
         ratio = (exact.metadata["perf"]["device_model_evals"]
                  / fast.metadata["perf"]["device_model_evals"])
         assert ratio > 1.5
 
-    def test_cache_only_matches_exact(self, exact, tmp_path):
-        cached, _ = run_once(PerfConfig(adaptive=False,
-                                        cache_path=str(tmp_path)))
+    def test_cache_only_matches_exact(self, exact):
+        setup = exact_setup()
+        setup.evaluator.cache = SolveCache(
+            setup.evaluator.solve_fingerprint())
+        cached, _ = run_once(setup=setup)
         assert_same_result(exact, cached)
         perf = cached.metadata["perf"]
         assert perf["cache_misses"] > 0
@@ -99,12 +114,12 @@ class TestEcripseBitIdentity:
     @pytest.mark.parametrize("backend", ["process"])
     def test_parallel_backends_match_serial(self, backend):
         execution = ExecutionConfig(backend=backend, workers=2)
-        serial, _ = run_once(PerfConfig())
-        parallel, _ = run_once(PerfConfig(), execution=execution)
+        serial, _ = run_once()
+        parallel, _ = run_once(execution=execution)
         assert_same_result(serial, parallel)
 
     def test_metadata_perf_spans_present(self):
-        estimate, _ = run_once(PerfConfig())
+        estimate, _ = run_once()
         spans = estimate.metadata["perf"]["spans"]
         assert "boundary-search" in spans
         assert "stage2-label" in spans
@@ -115,7 +130,7 @@ class TestCheckpointCacheRide:
         """The cache's one home is its --solve-cache directory: a killed
         run's cache is saved there, not in the snapshot, and the
         resumed run still finishes bit-identically."""
-        baseline, _ = run_once(PerfConfig())
+        baseline, _ = run_once()
 
         perf = PerfConfig(cache_path=str(tmp_path / "cache"))
         crashing = CheckpointConfig(directory=tmp_path / "ckpt",
@@ -142,7 +157,7 @@ class TestCheckpointCacheRide:
     def test_exact_run_snapshot_has_no_cache(self, tmp_path):
         checkpoint = CheckpointConfig(directory=tmp_path,
                                       every_simulations=400)
-        _, estimator = run_once(PerfConfig.exact(), checkpoint=checkpoint)
+        _, estimator = run_once(setup=exact_setup(), checkpoint=checkpoint)
         assert "solve_cache" not in estimator.state_snapshot()
 
     def test_default_snapshots_have_no_solve_cache(self):
@@ -158,9 +173,8 @@ class TestCheckpointCacheRide:
 class TestNaiveMonteCarlo:
     def test_accelerated_matches_exact(self):
         results = {}
-        for name, perf in (("exact", PerfConfig.exact()),
-                           ("fast", PerfConfig())):
-            setup = paper_setup(alpha=0.3, perf=perf)
+        for name, setup in (("exact", exact_setup()),
+                            ("fast", paper_setup(alpha=0.3))):
             mc = NaiveMonteCarlo(setup.space, setup.indicator,
                                  setup.rtn_model, batch_size=2000, seed=5)
             results[name] = mc.run(6000)
@@ -181,21 +195,6 @@ class TestCliFlags:
         assert "perf report" in out
         assert "device-model evals" in out
 
-    def test_perf_report_json_and_exact_eval(self, capsys):
-        import json
-
-        from repro.experiments.runner import main
-
-        code = main(["estimate", "--quick", "--target", "0.5",
-                     "--seed", "7", "--exact-eval", "--report", "json"])
-        out = capsys.readouterr().out
-        assert code == 0
-        payload = json.loads(out[out.index("{"):])["perf"]
-        # exact path: no screening, no cache
-        assert payload["screened"] == 0
-        assert payload["cache_hits"] == 0
-        assert payload["device_model_evals"] > 0
-
     def test_report_json_carries_health_and_perf(self, capsys):
         import json
 
@@ -211,19 +210,6 @@ class TestCliFlags:
         assert payload["health"]["events"] == []
         assert payload["perf"]["runs"] == 1
         assert payload["perf"]["device_model_evals"] > 0
-
-    def test_exact_eval_matches_default_output(self, capsys):
-        import re
-
-        from repro.experiments.runner import main
-
-        outputs = []
-        for flag in ([], ["--exact-eval"]):
-            assert main(["estimate", "--quick", "--target", "0.5",
-                         "--seed", "7"] + flag) == 0
-            out = capsys.readouterr().out
-            outputs.append(re.sub(r"[0-9.]+ s\b", "_ s", out))
-        assert outputs[0] == outputs[1]
 
     def test_solve_cache_flag_writes_cache_file(self, tmp_path, capsys):
         from repro.experiments.runner import main

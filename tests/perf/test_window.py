@@ -16,7 +16,7 @@ from repro.perf.adaptive import (LADDER, WINDOW_HALF, WINDOW_LEVEL,
                                  margin_guard_band)
 from repro.perf.cache import LEVELS, SolveCache
 from repro.rtn.model import RtnModel
-from repro.sram.evaluator import CellEvaluator
+from repro.sram.evaluator import MARGIN_LEVELS, CellEvaluator
 from repro.sram.margins import _lobe_gaps, _window_gaps
 
 from .test_adaptive import boundary_points
@@ -102,10 +102,10 @@ class TestWindowSoundness:
         x = case.rows(kind, seed)
         curves, state = case.window_solve(x)
         window = _window_gaps(curves, state, case.fast.window,
-                              case.fast.margin_levels)
+                              MARGIN_LEVELS)
         exact_curves = case.exact.solver.solve(
             case.exact.space.to_physical(x))
-        exact = _lobe_gaps(exact_curves, case.exact.margin_levels)
+        exact = _lobe_gaps(exact_curves, MARGIN_LEVELS)
         band = margin_guard_band(case.vdd, LADDER[0][0], 40, safety=1.0)
         for gap_8, gap_40 in zip(window, exact):
             verified = np.isfinite(gap_8)

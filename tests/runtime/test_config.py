@@ -30,12 +30,12 @@ class TestValidation:
             ExecutionConfig(workers=0)
 
     def test_only_backend_and_workers_remain(self):
-        """Execution is backend + workers and the perf policy is
-        adaptive + cache path; a new knob needs a caller that sets it."""
+        """Execution is backend + workers and the perf config is the
+        solve-cache path; a new knob needs a caller that sets it."""
         assert [f.name for f in dataclasses.fields(ExecutionConfig)] == [
             "backend", "workers"]
         assert [f.name for f in dataclasses.fields(PerfConfig)] == [
-            "adaptive", "cache_path"]
+            "cache_path"]
 
 
 class TestChunkResolution:

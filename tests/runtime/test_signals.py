@@ -5,11 +5,7 @@ import threading
 
 import pytest
 
-from repro.runtime.signals import (
-    GracefulShutdown,
-    default_coordinator,
-    shutdown_requested,
-)
+from repro.runtime.signals import GracefulShutdown, default_coordinator
 
 
 class TestFlag:
@@ -109,13 +105,3 @@ class TestSignalPlumbing:
 class TestModuleCoordinator:
     def test_default_coordinator_is_shared(self):
         assert default_coordinator() is default_coordinator()
-
-    def test_shutdown_requested_mirrors_default(self):
-        coordinator = default_coordinator()
-        coordinator.reset()
-        try:
-            assert not shutdown_requested()
-            coordinator.request("test")
-            assert shutdown_requested()
-        finally:
-            coordinator.reset()

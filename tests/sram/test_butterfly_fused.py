@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.spice.model import MosfetModel
 from repro.sram.butterfly import ButterflyCurves, ReadButterflySolver
 from repro.sram.cell import SramCell
-from repro.sram.evaluator import CellEvaluator
+from repro.sram.evaluator import MARGIN_LEVELS, CellEvaluator
 from repro.sram.margins import lobe_margins
 
 
@@ -164,7 +164,7 @@ class TestEvaluatorBitIdentity:
         vtc_a, vtc_b = per_side(solver, paper_space.to_physical(x))
         want = lobe_margins(ButterflyCurves(grid=solver.grid, vtc_a=vtc_a,
                                             vtc_b=vtc_b, vdd=solver.vdd),
-                            evaluator.margin_levels)
+                            MARGIN_LEVELS)
         for got, expected in zip(evaluator.margins(x), want):
             assert np.array_equal(got, expected)
 
