@@ -30,10 +30,11 @@ the rows each rung of the screening ladder labelled.
 
 The window gate labels a 5,000-row prior block (``cell``) and an
 RTN-shifted one (``lobe0``, alpha 0.5) with ``AdaptiveMarginEvaluator``
-and passes when its labels equal ``CellEvaluator``'s and the prior block
+and passes when its labels equal ``CellEvaluator``'s and each block
 costs at most half the 8-step floor, 0.5 x 976 device-model
 evaluations per row; it records the evaluations per row, the rows
-within the window radius and the rows the window pre-rung passed.
+the window's linearised-margin gate admits and the rows the window
+pre-rung passed.
 
 The start-up record runs fresh interpreters and reports ``import
 repro``'s wall time and VmRSS, and the deferred scipy.optimize import
@@ -78,8 +79,7 @@ from repro.experiments.fig8 import run_fig8
 from repro.experiments.setup import paper_setup
 from repro.perf import PerfConfig, save_registered_caches
 import repro.perf as perf_pkg
-from repro.perf.adaptive import (LADDER, WINDOW_RADIUS,
-                                 AdaptiveMarginEvaluator)
+from repro.perf.adaptive import LADDER, AdaptiveMarginEvaluator
 from repro.perf.report import collect_runs, merge_perf
 from repro.runtime import BACKENDS, ExecutionConfig
 from repro.sram.butterfly import ReadButterflySolver
@@ -465,7 +465,7 @@ def bench_tiles(quick: bool) -> dict:
 
 def bench_window(quick: bool) -> dict:
     """Gate: the window pre-rung keeps every label and halves the
-    8-step floor on prior rows.
+    8-step floor on prior and on RTN-shifted rows.
 
     The floor is what the 8-step rung alone costs a row: 2 sides x 61
     columns x 8 steps = 976 device-model evaluations.
@@ -494,28 +494,28 @@ def bench_window(quick: bool) -> dict:
             assert np.array_equal(labels, want), \
                 f"{name}: window labels differ from the exact path's"
         per_row = evaluator.device_model_evals / x.shape[0]
-        inside = np.flatnonzero(np.sum(x * x, axis=1)
-                                <= WINDOW_RADIUS ** 2)
+        admitted = np.flatnonzero(evaluator._gated(x, which))
         passed = AdaptiveMarginEvaluator(setup.cell, setup.space) \
-            ._window_rung(setup.space.to_physical(x), inside, which).size
+            ._window_rung(setup.space.to_physical(x), admitted, which).size
         wall, wall_iqr = quartiles(walls)
         print(f"  {name:11s} {x.shape[0]} rows ({which})  "
               f"{per_row:6.1f} evals/row ({per_row / floor:.2f} of the "
               f"8-step floor)  {wall:5.2f} s")
-        print(f"  {'':11s} within {WINDOW_RADIUS:g} sigma: {inside.size}, "
+        print(f"  {'':11s} admitted by the gate: {admitted.size}, "
               f"passed by the window: {passed}")
         record[name] = {
             "rows": x.shape[0], "criterion": which,
             "evals_per_row": per_row,
-            "rows_within_radius": int(inside.size),
+            "rows_gate_admitted": int(admitted.size),
             "rows_window_passed": passed,
             "resolved_by_depth": {str(depth): count for depth, count
                                   in evaluator.resolved.items()},
             "wall_median_s": wall, "wall_iqr_s": wall_iqr,
         }
-    assert record["prior"]["evals_per_row"] <= 0.5 * floor, (
-        f"prior block costs {record['prior']['evals_per_row']:.1f} "
-        f"evals/row > half the 8-step floor ({0.5 * floor:.0f})")
+    for name in blocks:
+        assert record[name]["evals_per_row"] <= 0.5 * floor, (
+            f"{name} block costs {record[name]['evals_per_row']:.1f} "
+            f"evals/row > half the 8-step floor ({0.5 * floor:.0f})")
     return record
 
 

@@ -432,7 +432,7 @@ def required_cell_pfail_for_policy(
     soft-error floor alone busts the target, and ``ceiling`` when the
     target is met everywhere.
     """
-    if fit_target <= 0:
+    if not fit_target > 0:
         raise ValueError("fit_target must be > 0")
 
     def meets(p: float) -> bool:
@@ -523,7 +523,7 @@ class ArrayConfig:
             raise ValueError("capacity_mbit must be > 0")
         if self.data_bits < 4:
             raise ValueError("data_bits must be >= 4")
-        if self.fit_target <= 0:
+        if not self.fit_target > 0:
             raise ValueError("fit_target must be > 0")
         _lookup(FIT_PER_MBIT, self.node, "technology node")
         _lookup(ENV_FLUX_MULTIPLIER, self.environment, "environment")

@@ -333,7 +333,7 @@ class EcripseEstimator:
         ``restore_into`` and re-``run``, finishes with the bit-identical
         estimate and trace the uninterrupted run produces.
         """
-        if target_relative_error <= 0:
+        if not target_relative_error > 0:
             raise ValueError("target_relative_error must be positive")
         start = time.perf_counter()
         cfg = self.config

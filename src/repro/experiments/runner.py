@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from repro.checkpoint import (
@@ -47,6 +48,21 @@ def _positive_int(value: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
     return n
+
+
+def _positive_float(value: str) -> float:
+    x = float(value)
+    if not 0.0 < x < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {value}")
+    return x
+
+
+def _unit_float(value: str) -> float:
+    x = float(value)
+    if not 0.0 <= x <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {value}")
+    return x
 
 
 def _add_common_args(cmd: argparse.ArgumentParser) -> None:
@@ -173,11 +189,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate",
                          help="one failure-probability estimation")
-    est.add_argument("--vdd", type=float, default=None,
+    est.add_argument("--vdd", type=_positive_float, default=None,
                      help="supply voltage [V] (default: 0.7)")
-    est.add_argument("--alpha", type=float, default=None,
+    est.add_argument("--alpha", type=_unit_float, default=None,
                      help="duty ratio; omit for RDF-only")
-    est.add_argument("--target", type=float, default=0.05,
+    est.add_argument("--target", type=_positive_float, default=0.05,
                      help="target relative error")
     _add_common_args(est)
     _add_checkpoint_args(est)
@@ -186,17 +202,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "array",
         help="array-level reliability decision: which ECC scheme and "
              "scrub period meet a FIT target at this cell pfail")
-    arr.add_argument("--pfail", type=float, default=None,
+    arr.add_argument("--pfail", type=_unit_float, default=None,
                      help="cell failure probability; omit to chain a "
                           "full estimator run (then --vdd/--alpha/"
                           "--target apply)")
-    arr.add_argument("--vdd", type=float, default=None,
+    arr.add_argument("--vdd", type=_positive_float, default=None,
                      help="supply voltage [V] for the chained "
                           "estimator (default: 0.7)")
-    arr.add_argument("--alpha", type=float, default=None,
+    arr.add_argument("--alpha", type=_unit_float, default=None,
                      help="duty ratio for the chained estimator; omit "
                           "for RDF-only")
-    arr.add_argument("--target", type=float, default=0.05,
+    arr.add_argument("--target", type=_positive_float, default=0.05,
                      help="target relative error for the chained "
                           "estimator")
     arr.add_argument("--capacity", default="128Gb",
@@ -210,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     arr.add_argument("--environment", default="sea-level",
                      help="operating environment flux multiplier "
                           "(default: sea-level)")
-    arr.add_argument("--fit-target", type=float, default=10.0,
+    arr.add_argument("--fit-target", type=_positive_float, default=10.0,
                      help="uncorrectable-FIT budget (default: 10)")
     arr.add_argument("--scrub-hours", default=None,
                      help="comma-separated scrub periods in hours "

@@ -6,8 +6,9 @@ Three cooperating pieces, all result-neutral:
   batches on a screening ladder of bisection depths (8 -> 12 -> 20,
   then the exact 40): each rung labels the samples outside its provably
   safe guard band and resumes the rest from its brackets, after a
-  window pre-rung that passes rows within 3 sigma from 8 steps on 16 of
-  the 61 grid columns (labels bit-identical to the exact path);
+  window pre-rung that passes the rows its linearised-margin gate
+  admits from 8 steps on 12 of the 61 grid columns (labels
+  bit-identical to the exact path);
 * :class:`~repro.perf.cache.SolveCache` -- an opt-in LRU memo of
   butterfly solves keyed on exact ΔVth bytes plus a solve-configuration
   fingerprint, kept in the ``--solve-cache`` directory; it hits only

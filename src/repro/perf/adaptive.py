@@ -42,16 +42,22 @@ A row labelled at depth ``d`` pays ``d`` steps; a row that reaches the
 exact depth pays 40, as on the exact path, plus one margin extraction
 per rung it passed.
 
-Rows within :data:`WINDOW_RADIUS` sigma of the origin of the whitened
-space first take a **window pre-rung**: the first rung's 8 steps on
-only the 16 grid columns around the nominal cell's widest Seevinck cuts
-(:attr:`AdaptiveMarginEvaluator.window`).  The brackets tell which cuts
-the exact curves interpolate from those columns
+Rows whose **linearised margin** clears :data:`WINDOW_GATE` times the
+8-step guard band first take a **window pre-rung**: the first rung's 8
+steps on only the 12 grid columns around the nominal cell's widest
+Seevinck cuts (:attr:`AdaptiveMarginEvaluator.window`).  The gate
+(:attr:`AdaptiveMarginEvaluator.gate`) is the nominal cell's exact lobe
+margins plus their whitened-space gradients dotted with the row: the
+first-order picture behind the mean-shift baseline's minimum-norm
+point, so it admits the rows the window can pass and sends ECRIPSE's
+near-boundary rows straight to the ladder.  The window's brackets tell
+which cuts the exact curves interpolate from its columns
 (:func:`~repro.sram.margins.window_lobe_margins`); a row whose largest
 verified gap clears the 8-step guard band passes, since the exact
-margin is a max over all cuts.  The window never labels a failure:
-every other row takes the ladder from scratch, so a passing prior row
-costs 256 device-model evaluations instead of 976.
+margin is a max over all cuts.  The gate only picks which rows try the
+window, and the window never labels a failure: every other row takes
+the ladder from scratch, so a passing prior row costs 192 device-model
+evaluations instead of 976.
 
 With a :class:`~repro.perf.cache.SolveCache`, the window and each rung
 first look up their own cache level; the cache stores margins, never
@@ -82,12 +88,13 @@ LADDER = ((8, "depth8"), (12, "coarse"), (20, "depth20"))
 
 #: Grid columns the window adds on each side of the nominal cell's
 #: widest-cut columns.
-WINDOW_HALF = 3
+WINDOW_HALF = 2
 
-#: Rows within this many sigma of the origin of the whitened space take
-#: the window pre-rung first.  A property of the row, so labels and
-#: counters do not depend on how a label block is tiled.
-WINDOW_RADIUS = 3.0
+#: A row takes the window pre-rung when its linearised margin
+#: (:attr:`AdaptiveMarginEvaluator.gate`) exceeds this many 8-step guard
+#: bands.  A property of the row, so labels and counters do not depend
+#: on how a label block is tiled.
+WINDOW_GATE = 2.0
 
 #: SolveCache level of the window pre-rung's verified lobe margins.
 WINDOW_LEVEL = "window"
@@ -147,6 +154,8 @@ class AdaptiveMarginEvaluator(CellEvaluator):
             [depth for depth, _ in LADDER] + [exact], 0)
         #: grid columns of the window pre-rung, derived at first use
         self._window: np.ndarray | None = None
+        #: the window gate's linearised lobe margins, derived at first use
+        self._gate: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def screened(self) -> int:
@@ -163,8 +172,8 @@ class AdaptiveMarginEvaluator(CellEvaluator):
                        ) -> np.ndarray:
         """Fail labels, bit-identical to ``CellEvaluator``'s exact path.
 
-        In each ``max_batch``-row tile, the rows within
-        :data:`WINDOW_RADIUS` first take the window pre-rung
+        In each ``max_batch``-row tile, the rows the window gate admits
+        (:attr:`gate`) first take the window pre-rung
         (:meth:`_window_rung`), which passes rows and labels no failure.
         The other rows climb the ladder: a rung labels the rows whose
         margin clears its guard band, and the rest resume from its
@@ -175,21 +184,36 @@ class AdaptiveMarginEvaluator(CellEvaluator):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != 6:
             raise ValueError(f"x must have shape (B, 6), got {x.shape}")
-        inside = np.sum(x * x, axis=1) <= WINDOW_RADIUS ** 2
+        admit = self._gated(x, which)
         labels = np.empty(x.shape[0], dtype=bool)
         for start in range(0, x.shape[0], self.max_batch):
             stop = start + self.max_batch
             labels[start:stop] = self._label_tile(
                 self.space.to_physical(x[start:stop]), which,
-                np.flatnonzero(inside[start:stop]))
+                np.flatnonzero(admit[start:stop]))
         return labels
 
+    def _gated(self, x: np.ndarray, which: str) -> np.ndarray:
+        """Mask of the whitened rows ``x`` the window gate admits: the
+        ``which`` linearised margin exceeds :data:`WINDOW_GATE` 8-step
+        guard bands.
+
+        The dot products are elementwise sums, never a BLAS ``x @ g``,
+        whose rounding depends on a row's place in its block: the mask
+        stays a property of the row, so counters do not depend on tiling
+        or backend.
+        """
+        m, g = self.gate
+        linear = self._select_margin(m[0] + np.sum(x * g[0], axis=1),
+                                     m[1] + np.sum(x * g[1], axis=1), which)
+        return linear > WINDOW_GATE * self.rungs[0][2]
+
     def _label_tile(self, dvth: np.ndarray, which: str,
-                    inside: np.ndarray) -> np.ndarray:
+                    admitted: np.ndarray) -> np.ndarray:
         labels = np.empty(dvth.shape[0], dtype=bool)
         rows = np.arange(dvth.shape[0])  # tile rows not labelled yet
-        if inside.size:
-            passed = self._window_rung(dvth, inside, which)
+        if admitted.size:
+            passed = self._window_rung(dvth, admitted, which)
             labels[passed] = False
             self.resolved[LADDER[0][0]] += passed.size
             rows = np.setdiff1d(rows, passed)
@@ -231,6 +255,29 @@ class AdaptiveMarginEvaluator(CellEvaluator):
                 centres[:, None] + np.arange(-WINDOW_HALF, WINDOW_HALF + 1),
                 0, points - 1))
         return self._window
+
+    @property
+    def gate(self) -> tuple[np.ndarray, np.ndarray]:
+        """The window gate's linearisation ``(m, g)`` of the lobe margins.
+
+        ``m`` (2,) holds the nominal cell's exact lobe margins and ``g``
+        (2, 6) their central-difference gradients in the whitened space,
+        both from one exact-depth solve of 13 rows: the origin and ±1
+        sigma on each axis.  A row ``x`` has linearised lobe margins
+        ``m + x · g``.  The derivation solve counts in no
+        ``device_model_evals``.
+        """
+        if self._gate is None:
+            unit = np.eye(6)
+            x = np.vstack([np.zeros((1, 6)), unit, -unit])
+            solver = ReadButterflySolver(
+                self.cell, vdd=self.vdd, grid_points=self.solver.grid.size,
+                bisection_iterations=self.solver.bisection_iterations)
+            margins = np.array(lobe_margins(
+                solver.solve(self.space.to_physical(x)), MARGIN_LEVELS))
+            self._gate = (margins[:, 0],
+                          (margins[:, 1:7] - margins[:, 7:]) / 2.0)
+        return self._gate
 
     def _window_rung(self, dvth: np.ndarray, rows: np.ndarray,
                      which: str) -> np.ndarray:

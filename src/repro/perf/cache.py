@@ -14,7 +14,8 @@ in their on-disk order (:data:`LEVELS`):
   (:data:`repro.perf.adaptive.LADDER`);
 * ``"depth8"`` and ``"depth20"`` -- 8 and 20 steps, its other rungs;
 * ``"window"`` -- the window pre-rung's verified lobe margins (8 steps
-  on 16 grid columns; :data:`repro.perf.adaptive.WINDOW_LEVEL`).
+  on the window's grid columns; :data:`repro.perf.adaptive.WINDOW_LEVEL`).
+  A stored bound is valid whichever window wrote it.
 
 Entries hold margins, never labels, so the ``cell`` and ``lobe0``
 failure criteria share them.  A file written before a level existed

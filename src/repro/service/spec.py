@@ -16,6 +16,8 @@ different attempt budget must still hit the same result-cache entry.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import asdict, dataclass, fields, replace
 
 from repro.analysis.ecc import ArrayConfig
@@ -32,6 +34,17 @@ SPEC_SCHEMA = 1
 #: scheduling/resilience hints.
 _NONRESULT_FIELDS = frozenset(
     {"priority", "checkpoint_every", "max_attempts"})
+
+#: numeric fields, ``(name, integral, optional)``: each must be a finite
+#: real number that is not a bool, integral where marked, and may be
+#: ``None`` only where marked
+_NUMBER_FIELDS = (
+    ("vdd", False, True), ("alpha", False, True), ("seed", True, False),
+    ("target_relative_error", False, False),
+    ("max_simulations", True, True), ("n_samples", True, False),
+    ("grid_points", True, False), ("pfail", False, True),
+    ("priority", True, False), ("checkpoint_every", True, False),
+    ("max_attempts", True, True))
 
 
 @dataclass(frozen=True)
@@ -115,6 +128,7 @@ class JobSpec:
             raise ServiceError(
                 f"unknown job kind {self.kind!r}; expected one of "
                 f"{', '.join(JOB_KINDS)}")
+        self._check_numbers()
         if self.vdd is not None and not 0.0 < float(self.vdd) < 2.0:
             raise ServiceError(
                 f"vdd must lie in (0, 2) volts, got {self.vdd}")
@@ -166,6 +180,28 @@ class JobSpec:
             if self.pfail is not None:
                 raise ServiceError(
                     "pfail is only valid for kind='array'")
+
+    def _check_numbers(self) -> None:
+        """Reject NaN, infinities, bools and non-integral counts.
+
+        JSON carries ``NaN``/``Infinity`` literals and ``1.5`` for a
+        count; each would otherwise slip past the range checks below or
+        crash a later ``int()``.  Accepted values are kept as given, so
+        their fingerprints do not move.
+        """
+        for name, integral, optional in _NUMBER_FIELDS:
+            value = getattr(self, name)
+            if value is None and optional:
+                continue
+            if isinstance(value, bool) \
+                    or not isinstance(value, numbers.Real):
+                raise ServiceError(
+                    f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ServiceError(f"{name} must be finite, got {value}")
+            if integral and value != int(value):
+                raise ServiceError(
+                    f"{name} must be an integer, got {value}")
 
     # -- wire format ---------------------------------------------------
     def as_dict(self) -> dict:

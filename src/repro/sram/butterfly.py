@@ -109,7 +109,7 @@ class ReadButterflySolver:
             raise ValueError("bisection_iterations must be >= 8")
         self.cell = cell
         self.vdd = float(cell.vdd if vdd is None else vdd)
-        if self.vdd <= 0:
+        if not self.vdd > 0:
             raise ValueError(f"vdd must be positive, got {self.vdd}")
         self.grid = np.linspace(0.0, self.vdd, grid_points)
         self.bisection_iterations = bisection_iterations

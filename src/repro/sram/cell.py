@@ -54,7 +54,7 @@ class SramCell:
     vdd: float = 0.7
 
     def __post_init__(self):
-        if self.vdd <= 0:
+        if not self.vdd > 0:
             raise ValueError(f"vdd must be positive, got {self.vdd}")
         if not self.nmos.is_nmos or self.pmos.is_nmos:
             raise ValueError("nmos/pmos parameter cards have wrong polarity")

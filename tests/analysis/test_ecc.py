@@ -210,6 +210,10 @@ class TestArrayConfig:
         wire = json.loads(json.dumps(cfg.as_dict()))
         assert ArrayConfig.from_dict(wire) == cfg
 
+    def test_nan_fit_target_rejected(self):
+        with pytest.raises(ValueError, match="fit_target"):
+            ArrayConfig(fit_target=float("nan"))
+
     def test_validation(self):
         with pytest.raises(ValueError, match="capacity"):
             ArrayConfig(capacity_mbit=0.0)
@@ -314,6 +318,12 @@ class TestInverseSolver:
         p_req = required_cell_pfail_for_policy(
             get_scheme("dec"), 100, self.BITS, self.RATE, 24.0, 1e15)
         assert p_req == 0.5
+
+    def test_nan_fit_target_rejected(self):
+        with pytest.raises(ValueError, match="fit_target"):
+            required_cell_pfail_for_policy(
+                get_scheme("secded"), self.WORDS, self.BITS, self.RATE,
+                24.0, float("nan"))
 
     def test_soft_error_floor_returns_zero(self):
         # space flux at 128 Gb busts 1e-9 FIT even with perfect cells

@@ -88,6 +88,11 @@ class TestMechanics:
         with pytest.raises(ValueError):
             estimator.run(target_relative_error=0.0)
 
+    def test_nan_target_rejected(self):
+        estimator = EcripseEstimator(SPACE, TWO_LOBES, NULL, config=FAST)
+        with pytest.raises(ValueError, match="target_relative_error"):
+            estimator.run(target_relative_error=float("nan"))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EcripseConfig(n_iterations=0)

@@ -23,6 +23,28 @@ class TestParser:
         assert args.target == 0.1
         assert args.quick
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--vdd", "-1"],
+        ["estimate", "--vdd", "nan"],
+        ["estimate", "--alpha", "1.5"],
+        ["estimate", "--alpha", "nan"],
+        ["estimate", "--target", "0"],
+        ["estimate", "--target", "nan"],
+        ["array", "--fit-target", "nan"],
+        ["array", "--pfail", "nan"],
+        ["array", "--vdd", "inf"],
+    ], ids=" ".join)
+    def test_bad_float_flag_exits_2_with_one_line(self, argv, capsys):
+        """Each bad value is an argparse error naming its flag, not a
+        traceback, a misleading search failure or a run to the budget."""
+        with pytest.raises(SystemExit) as info:
+            _build_parser().parse_args(argv)
+        assert info.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert error.startswith(
+            f"ecripse {argv[0]}: error: argument {argv[1]}: ")
+        assert argv[2] in error
+
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
             _build_parser().parse_args([])

@@ -4,6 +4,7 @@ import json
 import socket
 import threading
 import time
+import urllib.error
 import urllib.request
 from urllib.parse import urlparse
 
@@ -320,6 +321,28 @@ class TestHttpSurface:
         daemon, client = live
         with pytest.raises(ServiceError, match=r"\(400\).*unknown spec"):
             client.submit({"warp_factor": 9})
+
+    def test_non_finite_or_fractional_numbers_are_json_400(self, live):
+        """NaN and infinite budgets, a NaN target and fractional counts
+        get a typed JSON 400, and the daemon keeps answering."""
+        daemon, client = live
+        bodies = ['{"kind": "naive", "max_simulations": NaN}',
+                  '{"kind": "naive", "max_simulations": Infinity}',
+                  '{"kind": "naive", "max_simulations": 2.7}',
+                  '{"kind": "naive", "target_relative_error": NaN}',
+                  '{"kind": "naive", "n_samples": 1.5}',
+                  '{"kind": "naive", "seed": 1.5}']
+        for body in bodies:
+            request = urllib.request.Request(
+                client.base_url + "/jobs", data=body.encode(),
+                method="POST", headers={"Content-Type": "application/json"})
+            with pytest.raises(urllib.error.HTTPError) as info:
+                urllib.request.urlopen(request, timeout=5.0)
+            assert info.value.code == 400, body
+            error = json.loads(info.value.read())["error"]
+            assert "finite" in error or "integer" in error, error
+        assert client.healthz()["status"] == "ok"
+        assert daemon.store.list_jobs() == []
 
     def test_retired_spec_field_is_400(self, live):
         daemon, client = live

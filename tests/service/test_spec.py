@@ -28,6 +28,33 @@ class TestValidation:
         with pytest.raises(ServiceError, match=match):
             JobSpec(**changes)
 
+    @pytest.mark.parametrize("changes, match", [
+        ({"max_simulations": float("nan")}, "max_simulations must be fin"),
+        ({"max_simulations": float("inf")}, "max_simulations must be fin"),
+        ({"max_simulations": 2.7}, "max_simulations must be an integer"),
+        ({"target_relative_error": float("nan")}, "target_relative_error"),
+        ({"vdd": float("nan")}, "vdd must be finite"),
+        ({"alpha": float("nan")}, "alpha must be finite"),
+        ({"kind": "array", "pfail": float("nan")}, "pfail must be finite"),
+        ({"n_samples": 1.5}, "n_samples must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": True}, "seed must be a number"),
+        ({"seed": None}, "seed must be a number"),
+        ({"priority": float("-inf")}, "priority must be finite"),
+        ({"max_attempts": 1.5}, "max_attempts must be an integer"),
+    ])
+    def test_non_finite_and_non_integral_numbers_rejected(self, changes,
+                                                         match):
+        with pytest.raises(ServiceError, match=match):
+            JobSpec(**changes)
+
+    def test_integral_values_are_kept_as_given(self):
+        """An integral float still passes, unchanged, so a spec accepted
+        before keeps its fingerprint."""
+        spec = JobSpec(kind="naive", max_simulations=2000.0, seed=7.0)
+        assert spec.max_simulations == 2000.0
+        assert isinstance(spec.max_simulations, float)
+
 
 class TestWireFormat:
     def test_roundtrip(self):

@@ -22,6 +22,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ReadButterflySolver(paper_cell, vdd=-0.1)
 
+    def test_nan_vdd_rejected(self, paper_cell):
+        with pytest.raises(ValueError, match="vdd"):
+            ReadButterflySolver(paper_cell, vdd=float("nan"))
+
     def test_default_vdd_from_cell(self, paper_cell):
         assert ReadButterflySolver(paper_cell).vdd == paper_cell.vdd
 

@@ -30,6 +30,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="vdd"):
             SramCell(vdd=0.0)
 
+    def test_nan_vdd_rejected(self):
+        with pytest.raises(ValueError, match="vdd"):
+            SramCell(vdd=float("nan"))
+
 
 class TestReadCircuit:
     def test_topology(self, paper_cell):
