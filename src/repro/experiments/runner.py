@@ -65,6 +65,13 @@ def _unit_float(value: str) -> float:
     return x
 
 
+def _open_unit_float(value: str) -> float:
+    x = float(value)
+    if not 0.0 < x < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {value}")
+    return x
+
+
 def _add_common_args(cmd: argparse.ArgumentParser) -> None:
     """Budget/seed/execution flags shared by every subcommand."""
     cmd.add_argument("--quick", action="store_true",
@@ -170,13 +177,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     vmin = sub.add_parser("vmin", help="minimum-supply search for a "
                                        "failure-probability budget")
-    vmin.add_argument("--budget", type=float, required=True,
+    vmin.add_argument("--budget", type=_open_unit_float, required=True,
                       help="cell Pfail budget, e.g. 1e-3")
-    vmin.add_argument("--alpha", type=float, default=None,
+    vmin.add_argument("--alpha", type=_unit_float, default=None,
                       help="duty ratio; omit for RDF-only")
-    vmin.add_argument("--low", type=float, default=0.45)
-    vmin.add_argument("--high", type=float, default=0.8)
-    vmin.add_argument("--resolution", type=float, default=0.02)
+    vmin.add_argument("--low", type=_positive_float, default=0.45,
+                      help="lowest supply searched [V] (default: 0.45)")
+    vmin.add_argument("--high", type=_positive_float, default=0.8,
+                      help="highest supply searched [V], above --low "
+                           "(default: 0.8)")
+    vmin.add_argument("--resolution", type=_positive_float, default=0.02,
+                      help="supply resolution of the search [V] "
+                           "(default: 0.02)")
     _add_common_args(vmin)
 
     lint = sub.add_parser(
@@ -322,7 +334,11 @@ def main(argv: list[str] | None = None) -> int:
         from repro.service.cli import main as service_main
 
         return service_main(argv)
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "vmin" and not args.low < args.high:
+        parser.error(f"argument --high: must exceed --low ({args.low}), "
+                     f"got {args.high}")
     execution = ExecutionConfig(backend=args.backend, workers=args.workers)
     try:
         health = HealthConfig(policy=args.health_policy,

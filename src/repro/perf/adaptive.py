@@ -56,8 +56,24 @@ which cuts the exact curves interpolate from its columns
 verified gap clears the 8-step guard band passes, since the exact
 margin is a max over all cuts.  The gate only picks which rows try the
 window, and the window never labels a failure: every other row takes
-the ladder from scratch, so a passing prior row costs 192 device-model
-evaluations instead of 976.
+the ladder from scratch, so a passing prior row costs at most 192
+device-model evaluations instead of 976 (about 58 with predicted
+brackets).
+
+The 8-step solves the label path makes from scratch -- the window
+pre-rung and the first rung -- start from **predicted brackets**
+(:meth:`~repro.sram.butterfly.ReadButterflySolver.solve_with_state`
+with ``guess``): the nominal curves plus their first and second
+differences along the row's shifts
+(:attr:`AdaptiveMarginEvaluator.predictor`), checked by two net-current
+evaluations per element instead of eight bisection steps.
+The check leaves every bracket, and so every margin and label, what the
+plain bisection gives; only ``device_model_evals`` moves.
+
+The window columns, the gate and the predictor depend only on the
+cell, supply, grid and space, so each process derives them once, at
+first use and uncounted, into a table every evaluator with the same
+``(solve_fingerprint(), space sigmas)`` shares.
 
 With a :class:`~repro.perf.cache.SolveCache`, the window and each rung
 first look up their own cache level; the cache stores margins, never
@@ -98,6 +114,14 @@ WINDOW_GATE = 2.0
 
 #: SolveCache level of the window pre-rung's verified lobe margins.
 WINDOW_LEVEL = "window"
+
+#: What the label path derives from the nominal cell, once per process:
+#: per ``(solve_fingerprint(), space sigmas)`` key, the ``"window"``
+#: columns and the ``"gate"`` with the bracket predictor, as read-only
+#: arrays that every evaluator with that key shares.  Two threads may
+#: derive one entry at once; the derivation is deterministic, so either
+#: result serves, and no lock can be inherited held by a forked worker.
+_NOMINAL: dict[tuple, dict[str, tuple[np.ndarray, ...]]] = {}
 
 
 def margin_guard_band(vdd: float, iterations: int,
@@ -152,10 +176,8 @@ class AdaptiveMarginEvaluator(CellEvaluator):
         #: rows labelled at each depth: the rungs', then the exact one
         self.resolved = dict.fromkeys(
             [depth for depth, _ in LADDER] + [exact], 0)
-        #: grid columns of the window pre-rung, derived at first use
-        self._window: np.ndarray | None = None
-        #: the window gate's linearised lobe margins, derived at first use
-        self._gate: tuple[np.ndarray, np.ndarray] | None = None
+        #: this evaluator's key into the per-process _NOMINAL table
+        self._nominal_key: tuple | None = None
 
     @property
     def screened(self) -> int:
@@ -236,25 +258,41 @@ class AdaptiveMarginEvaluator(CellEvaluator):
         self.resolved[self.solver.bisection_iterations] += rows.size
         return labels
 
+    def _nominal(self, name: str) -> tuple[np.ndarray, ...]:
+        """This evaluator's ``name`` entry of the per-process table
+        (``"window"`` or ``"gate"``), derived at first use by solves of
+        their own that count in no ``device_model_evals``."""
+        if self._nominal_key is None:
+            self._nominal_key = (self.solve_fingerprint(),
+                                 tuple(self.space.sigmas.tolist()))
+        entry = _NOMINAL.setdefault(self._nominal_key, {})
+        if name not in entry:
+            arrays = (self._derive_window() if name == "window"
+                      else self._derive_gate())
+            for array in arrays:
+                array.flags.writeable = False
+            entry[name] = arrays
+        return entry[name]
+
     @property
     def window(self) -> np.ndarray:
         """Grid columns of the window pre-rung.
 
         The nominal cell (ΔVth = 0), solved to the first rung's depth on
         the full grid: per lobe, the columns its widest cut interpolates
-        on each curve, widened by :data:`WINDOW_HALF` on each side.  The
-        derivation solve counts in no ``device_model_evals``.
+        on each curve, widened by :data:`WINDOW_HALF` on each side.
         """
-        if self._window is None:
-            points = self.solver.grid.size
-            nominal = ReadButterflySolver(
-                self.cell, vdd=self.vdd, grid_points=points,
-                bisection_iterations=LADDER[0][0]).solve(np.zeros((1, 6)))
-            centres = widest_cut_columns(nominal, MARGIN_LEVELS)
-            self._window = np.unique(np.clip(
-                centres[:, None] + np.arange(-WINDOW_HALF, WINDOW_HALF + 1),
-                0, points - 1))
-        return self._window
+        return self._nominal("window")[0]
+
+    def _derive_window(self) -> tuple[np.ndarray]:
+        points = self.solver.grid.size
+        nominal = ReadButterflySolver(
+            self.cell, vdd=self.vdd, grid_points=points,
+            bisection_iterations=LADDER[0][0]).solve(np.zeros((1, 6)))
+        centres = widest_cut_columns(nominal, MARGIN_LEVELS)
+        return (np.unique(np.clip(
+            centres[:, None] + np.arange(-WINDOW_HALF, WINDOW_HALF + 1),
+            0, points - 1)),)
 
     @property
     def gate(self) -> tuple[np.ndarray, np.ndarray]:
@@ -264,20 +302,68 @@ class AdaptiveMarginEvaluator(CellEvaluator):
         (2, 6) their central-difference gradients in the whitened space,
         both from one exact-depth solve of 13 rows: the origin and ±1
         sigma on each axis.  A row ``x`` has linearised lobe margins
-        ``m + x · g``.  The derivation solve counts in no
-        ``device_model_evals``.
+        ``m + x · g``.
         """
-        if self._gate is None:
-            unit = np.eye(6)
-            x = np.vstack([np.zeros((1, 6)), unit, -unit])
-            solver = ReadButterflySolver(
-                self.cell, vdd=self.vdd, grid_points=self.solver.grid.size,
-                bisection_iterations=self.solver.bisection_iterations)
-            margins = np.array(lobe_margins(
-                solver.solve(self.space.to_physical(x)), MARGIN_LEVELS))
-            self._gate = (margins[:, 0],
-                          (margins[:, 1:7] - margins[:, 7:]) / 2.0)
-        return self._gate
+        return self._nominal("gate")[:2]
+
+    @property
+    def predictor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The bracket predictor ``(nominal, slopes, curvatures)``.
+
+        From the :attr:`gate`'s 13-row solve: ``nominal`` (2, G) holds
+        the nominal cell's curves A and B on every grid column;
+        ``slopes`` and ``curvatures`` (2, 3, G) each curve's central
+        first and second differences along the three shifts of its own
+        side (devices 0-2 for A, 3-5 for B).  Both are per volt -- the
+        per-sigma differences over that device's sigma (squared) -- so
+        a guess needs only the physical rows the rungs hold
+        (:meth:`_guess`).
+        """
+        return self._nominal("gate")[2:]
+
+    def _derive_gate(self) -> tuple[np.ndarray, ...]:
+        unit = np.eye(6)
+        x = np.vstack([np.zeros((1, 6)), unit, -unit])
+        solver = ReadButterflySolver(
+            self.cell, vdd=self.vdd, grid_points=self.solver.grid.size,
+            bisection_iterations=self.solver.bisection_iterations)
+        curves = solver.solve(self.space.to_physical(x))
+        margins = np.array(lobe_margins(curves, MARGIN_LEVELS))
+        slopes, curvatures = [], []
+        for side, vtc in enumerate((curves.vtc_a, curves.vtc_b)):
+            devices = slice(3 * side, 3 * side + 3)
+            plus, minus = vtc[1:7][devices], vtc[7:][devices]
+            sigmas = self.space.sigmas[devices, None]
+            slopes.append((plus - minus) / (2.0 * sigmas))
+            curvatures.append((plus + minus - 2.0 * vtc[0])
+                              / (2.0 * sigmas ** 2))
+        return (margins[:, 0], (margins[:, 1:7] - margins[:, 7:]) / 2.0,
+                np.stack([curves.vtc_a[0], curves.vtc_b[0]]),
+                np.stack(slopes), np.stack(curvatures))
+
+    def _guess(self, dvth: np.ndarray,
+               columns: np.ndarray | None = None) -> np.ndarray:
+        """Predicted node voltages of the physical rows ``dvth`` on
+        ``columns`` (default: the whole grid), in the solver's fused
+        ``(2B, C)`` layout: ``nominal + Σ_j d_j · (slope_j + d_j ·
+        curvature_j)`` over the side's three shifts ``d_j``, summed
+        elementwise in a fixed order (never a BLAS product), so a row's
+        guess -- and the evaluations its check spends -- do not depend
+        on its tile or backend."""
+        nominal, slopes, curvatures = self.predictor
+        if columns is not None:
+            nominal = nominal[:, columns]
+            slopes = slopes[:, :, columns]
+            curvatures = curvatures[:, :, columns]
+        batch = dvth.shape[0]
+        guess = np.empty((2 * batch, nominal.shape[1]))
+        for side in (0, 1):
+            part = guess[side * batch:(side + 1) * batch]
+            part[...] = nominal[side]
+            for j in range(3):
+                shift = dvth[:, 3 * side + j, None]
+                part += shift * (slopes[side, j] + shift * curvatures[side, j])
+        return guess
 
     def _window_rung(self, dvth: np.ndarray, rows: np.ndarray,
                      which: str) -> np.ndarray:
@@ -300,8 +386,9 @@ class AdaptiveMarginEvaluator(CellEvaluator):
             todo = ~hit
         if todo.any():
             ids = rows[todo]
-            curves, state = solver.solve_with_state(dvth[ids],
-                                                    columns=self.window)
+            curves, state = solver.solve_with_state(
+                dvth[ids], columns=self.window,
+                guess=self._guess(dvth[ids], self.window))
             w0[todo], w1[todo] = window_lobe_margins(
                 curves, state, self.window, MARGIN_LEVELS)
             if self.cache is not None:
@@ -342,7 +429,12 @@ class AdaptiveMarginEvaluator(CellEvaluator):
             todo[ids] = False
         if todo.any():
             ids = np.flatnonzero(todo)
-            solved.append((ids, *solver.solve_with_state(dvth[ids])))
+            if solver is self.rungs[0][0]:  # the 8-step rung: predicted
+                result = solver.solve_with_state(
+                    dvth[ids], guess=self._guess(dvth[ids]))
+            else:
+                result = solver.solve_with_state(dvth[ids])
+            solved.append((ids, *result))
         for ids, curves, _ in solved:
             m0[ids], m1[ids] = lobe_margins(curves, MARGIN_LEVELS)
             if self.cache is not None:

@@ -33,6 +33,16 @@ class TestParser:
         ["array", "--fit-target", "nan"],
         ["array", "--pfail", "nan"],
         ["array", "--vdd", "inf"],
+        ["vmin", "--budget", "1000"],
+        ["vmin", "--budget", "nan"],
+        ["vmin", "--budget", "0"],
+        ["vmin", "--budget", "1"],
+        ["vmin", "--alpha", "1.5"],
+        ["vmin", "--alpha", "nan"],
+        ["vmin", "--low", "-0.1"],
+        ["vmin", "--high", "inf"],
+        ["vmin", "--resolution", "0"],
+        ["vmin", "--resolution", "nan"],
     ], ids=" ".join)
     def test_bad_float_flag_exits_2_with_one_line(self, argv, capsys):
         """Each bad value is an argparse error naming its flag, not a
@@ -45,6 +55,18 @@ class TestParser:
             f"ecripse {argv[0]}: error: argument {argv[1]}: ")
         assert argv[2] in error
 
+    @pytest.mark.parametrize("low, high", [("0.8", "0.5"), ("0.6", "0.6")])
+    def test_vmin_needs_low_below_high(self, low, high, capsys):
+        """An empty search bracket is an argparse error, not a
+        ``find_vmin`` traceback after the imports."""
+        with pytest.raises(SystemExit) as info:
+            main(["vmin", "--budget", "1e-3", "--low", low, "--high", high])
+        assert info.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert error.startswith("ecripse: error: argument --high: ")
+        assert f"must exceed --low ({float(low)}), got {float(high)}" \
+            in error
+
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
             _build_parser().parse_args([])
@@ -55,7 +77,7 @@ class TestParser:
                         "vmin", "estimate"):
             argv = [command, "--backend", "process", "--workers", "4"]
             if command == "vmin":
-                argv += ["--budget", "1000"]
+                argv += ["--budget", "1e-3"]
             args = parser.parse_args(argv)
             assert args.backend == "process"
             assert args.workers == 4
@@ -75,7 +97,7 @@ class TestParser:
                         "vmin", "estimate", "array"):
             argv = [command, "--backend", "thread"]
             if command == "vmin":
-                argv += ["--budget", "1000"]
+                argv += ["--budget", "1e-3"]
             with pytest.raises(SystemExit) as info:
                 parser.parse_args(argv)
             assert info.value.code == 2, command
@@ -89,7 +111,7 @@ class TestParser:
         takes the old switch back to the exact evaluator."""
         argv = [command, "--exact-eval"]
         if command == "vmin":
-            argv += ["--budget", "1000"]
+            argv += ["--budget", "1e-3"]
         with pytest.raises(SystemExit) as info:
             _build_parser().parse_args(argv)
         assert info.value.code == 2

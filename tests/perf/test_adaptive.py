@@ -42,16 +42,33 @@ def mixed_batch(rng, n):
 
 def boundary_points(exact, rng, n):
     """``n`` points on the cell's failure boundary, found by radial
-    bisection of the exact labels along random directions."""
-    directions = rng.standard_normal((n, 6))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    lo, hi = np.zeros(n), np.full(n, 10.0)
+    bisection of the exact labels along random directions.
+
+    Only directions that fail within :data:`BOUNDARY_CAP` sigma are
+    kept (more are drawn until ``n`` do): a direction that never fails
+    has no boundary point, and bisecting it would return a passing
+    point at the cap.
+    """
+    directions = np.empty((0, 6))
+    while len(directions) < n:
+        draw = rng.standard_normal((n, 6))
+        draw /= np.linalg.norm(draw, axis=1, keepdims=True)
+        fails = exact.failure_labels(draw * BOUNDARY_CAP, "cell")
+        directions = np.vstack([directions, draw[fails]])
+    directions = directions[:n]
+    lo, hi = np.zeros(n), np.full(n, BOUNDARY_CAP)
     for _ in range(40):
         mid = 0.5 * (lo + hi)
         failed = exact.failure_labels(directions * mid[:, None], "cell")
         hi = np.where(failed, mid, hi)
         lo = np.where(failed, lo, mid)
-    return directions * (0.5 * (lo + hi))[:, None]
+    points = directions * (0.5 * (lo + hi))[:, None]
+    assert np.all(np.abs(exact.cell_margin(points)) < 1e-6)
+    return points
+
+
+#: Radius [sigma] within which :func:`boundary_points` looks for failure.
+BOUNDARY_CAP = 10.0
 
 
 class TestGuardBand:
@@ -159,7 +176,10 @@ class TestCachedAdaptive:
         exact = CellEvaluator(paper_cell, paper_space)
         fast = AdaptiveMarginEvaluator(paper_cell, paper_space)
         fast.cache = SolveCache(fast.solve_fingerprint())
-        near = boundary_points(exact, rng, 30)
+        # the mixed rungs need a lobe-1 boundary row whose wide lobe-0
+        # margin the lobe0 pass labels at depth 8 (the window cannot
+        # certify it); 60 boundary points hold one (6.9 sigma)
+        near = boundary_points(exact, rng, 60)
         x = np.vstack([mixed_batch(rng, 100), near * 0.9999, near * 1.001])
         fast.failure_labels(x[::2], "lobe0")
 
@@ -377,9 +397,74 @@ class TestLadderProperties:
                                   case.exact.failure_labels(x, which))
 
     def test_every_depth_labels_rows(self, case):
-        """The draws above reach every rung and the exact depth."""
+        """The draws above reach every rung and the exact depth: prior
+        rows the 8-step rung, near-boundary rows the deeper ones."""
         fast = AdaptiveMarginEvaluator(case.exact.cell, case.exact.space,
                                        vdd=case.vdd)
-        for seed in range(4):
-            fast.failure_labels(case.rows("near", seed), "cell")
+        for kind in ("prior", "near"):
+            for seed in range(4):
+                fast.failure_labels(case.rows(kind, seed), "cell")
         assert all(count > 0 for count in fast.resolved.values())
+
+
+# ----------------------------------------------------------------------
+# predicted brackets: the label path's from-scratch 8-step solves
+# ----------------------------------------------------------------------
+class TestPredictedBrackets:
+    """The window pre-rung and the first rung start from predicted
+    brackets; brackets, curves, labels and counters stay those of plain
+    bisection on prior, RTN-shifted, near-boundary and +-6 sigma
+    single-device rows, whatever the tiling."""
+
+    @pytest.fixture(scope="class", params=[0.7, 0.5], ids=["0.7V", "0.5V"])
+    def block(self, request, paper_cell, paper_space):
+        case = LadderCase(paper_cell, paper_space, request.param)
+        single = np.vstack([6.0 * np.eye(6), -6.0 * np.eye(6)])
+        x = np.vstack([case.rows(kind, seed) for kind in ("prior", "near",
+                                                          "rtn")
+                       for seed in range(4)] + [single])
+        return case, x
+
+    @pytest.mark.parametrize("window", [True, False],
+                             ids=["window", "full-grid"])
+    def test_brackets_match_plain_bisection(self, block, window):
+        case, x = block
+        fast = case.fast
+        solver = fast.rungs[0][0]
+        columns = fast.window if window else None
+        dvth = fast.space.to_physical(x)
+        plain, plain_state = solver.solve_with_state(dvth, columns=columns)
+        before = dict(solver.guess_outcomes)
+        curves, state = solver.solve_with_state(
+            dvth, columns=columns, guess=fast._guess(dvth, columns))
+        for got, want in ((curves.vtc_a, plain.vtc_a),
+                          (curves.vtc_b, plain.vtc_b),
+                          (state.lo, plain_state.lo),
+                          (state.hi, plain_state.hi)):
+            assert np.array_equal(got, want)
+        # the rows exercise the first check and the re-guesses
+        outcomes = {key: solver.guess_outcomes[key] - before[key]
+                    for key in before}
+        assert sum(outcomes.values()) == state.lo.size
+        assert outcomes["accepted"] > 0 and outcomes["reguessed"] > 0
+
+    def test_labels_and_counts_hold_in_every_tiling(self, block):
+        """Labels equal the exact path's, and ``device_model_evals`` and
+        ``resolved`` sum to the same counts, in label calls of 1, 2,
+        511, 512 and 513 rows (the evaluator tiles at 512)."""
+        case, x = block
+        assert x.shape[0] > 513
+        want = {which: case.exact.failure_labels(x, which)
+                for which in ("cell", "lobe0")}
+        counts = set()
+        for size in (1, 2, 511, 512, 513):
+            fast = AdaptiveMarginEvaluator(case.exact.cell, case.exact.space,
+                                           vdd=case.vdd)
+            for which in ("cell", "lobe0"):
+                labels = np.concatenate([
+                    fast.failure_labels(x[i:i + size], which)
+                    for i in range(0, x.shape[0], size)])
+                assert np.array_equal(labels, want[which]), (size, which)
+            counts.add((fast.device_model_evals,
+                        tuple(fast.resolved.items())))
+        assert len(counts) == 1

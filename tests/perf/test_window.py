@@ -20,6 +20,7 @@ from repro.rtn.model import RtnModel
 from repro.runtime import ExecutionConfig, Executor
 from repro.sram.evaluator import MARGIN_LEVELS, CellEvaluator
 from repro.sram.margins import _lobe_gaps, _window_gaps
+from repro.variability.space import VariabilitySpace
 
 from .test_adaptive import boundary_points
 
@@ -149,10 +150,13 @@ class TestWindowShape:
         assert want.size == 2 * (2 + 2 * WINDOW_HALF)
 
     def test_derivation_is_lazy_and_uncounted(self, paper_cell,
-                                              paper_space):
+                                              paper_space, monkeypatch):
+        monkeypatch.setattr(adaptive, "_NOMINAL", {})
         fast = AdaptiveMarginEvaluator(paper_cell, paper_space)
-        assert fast._window is None
+        assert adaptive._NOMINAL == {}
         fast.window
+        assert list(adaptive._NOMINAL.values()) == [
+            {"window": (fast.window,)}]
         assert fast.device_model_evals == 0
 
 
@@ -172,15 +176,16 @@ def gate_rows(fast, which, factor, n=64):
 
 class TestWindowGate:
     def test_derivation_is_lazy_and_uncounted(self, paper_cell,
-                                              paper_space):
+                                              paper_space, monkeypatch):
         """The gate is the exact margins of the nominal cell and their
         central differences at ±1 sigma per axis, derived at first use
         by a solve no counter sees."""
+        monkeypatch.setattr(adaptive, "_NOMINAL", {})
         fast = AdaptiveMarginEvaluator(paper_cell, paper_space)
-        assert fast._gate is None
+        assert adaptive._NOMINAL == {}
         m, g = fast.gate
         assert fast.device_model_evals == 0
-        assert fast.gate is fast.gate
+        assert fast.gate[0] is m and fast.gate[1] is g
         exact = CellEvaluator(paper_cell, paper_space)
         unit = np.eye(6)
         x = np.vstack([np.zeros((1, 6)), unit, -unit])
@@ -192,11 +197,17 @@ class TestWindowGate:
                            atol=1e-12)
 
     def test_first_label_call_derives_the_gate(self, paper_cell,
-                                               paper_space, rng):
+                                               paper_space, rng,
+                                               monkeypatch):
+        monkeypatch.setattr(adaptive, "_NOMINAL", {})
         fast = AdaptiveMarginEvaluator(paper_cell, paper_space)
         fast.failure_labels(rng.standard_normal((8, 6)), "cell")
-        assert fast._gate is not None
-        assert fast.device_model_evals == 8 * 2 * 12 * LADDER[0][0]
+        assert set(*adaptive._NOMINAL.values()) == {"gate", "window"}
+        # the 8 rows pass the window on predicted brackets: two checked
+        # ends for each of their 2 x 12 elements, plus 43 re-guessed
+        # ends, where plain bisection spent 8 * 2 * 12 * 8 = 1,536
+        assert fast.resolved[LADDER[0][0]] == 8
+        assert fast.device_model_evals == 2 * 8 * 2 * 12 + 43
 
     @pytest.mark.parametrize("which", ["cell", "lobe0"])
     def test_gate_selects_the_rows(self, paper_cell, paper_space,
@@ -214,9 +225,9 @@ class TestWindowGate:
             method = solver.solve_with_state
             monkeypatch.setattr(
                 solver, "solve_with_state",
-                lambda dvth, columns=None, _m=method: solves.append(
-                    (len(dvth), columns is not None))
-                or _m(dvth, columns=columns))
+                lambda dvth, columns=None, guess=None, _m=method:
+                solves.append((len(dvth), columns is not None))
+                or _m(dvth, columns=columns, guess=guess))
             fast.failure_labels(x, which)
             # a window solve of every row, or none at all
             assert ((64, True) in solves) is windowed
@@ -235,6 +246,49 @@ class TestWindowGate:
         assert m[0] + np.sum(x[0] * g[0]) > threshold
         assert not fast._gated(x, "cell").any()
         assert fast._gated(x, "lobe0").all()
+
+
+class TestDerivedOncePerProcess:
+    """The window, the gate and the predictor are derived once per
+    ``(solve_fingerprint(), space sigmas)`` and shared read-only."""
+
+    def test_equal_inputs_share_the_arrays(self, paper_cell, paper_space,
+                                           monkeypatch):
+        monkeypatch.setattr(adaptive, "_NOMINAL", {})
+        a, b = (AdaptiveMarginEvaluator(paper_cell, paper_space)
+                for _ in range(2))
+        shared = [a.window, *a.gate, *a.predictor]
+        for mine, theirs in zip(shared, [b.window, *b.gate, *b.predictor]):
+            assert mine is theirs
+            assert not mine.flags.writeable
+        assert len(adaptive._NOMINAL) == 1
+        wider = VariabilitySpace(paper_space.sigmas * 1.1,
+                                 names=paper_space.names)
+        others = [AdaptiveMarginEvaluator(paper_cell, paper_space, vdd=0.5),
+                  AdaptiveMarginEvaluator(paper_cell, paper_space,
+                                          grid_points=41),
+                  AdaptiveMarginEvaluator(paper_cell, wider)]
+        for other in others:
+            mine = [other.window, *other.gate, *other.predictor]
+            assert all(x is not y for x, y in zip(mine, shared))
+        assert len(adaptive._NOMINAL) == 4
+
+    def test_labels_and_counts_do_not_depend_on_the_table(
+            self, paper_cell, paper_space, monkeypatch):
+        rng = np.random.default_rng(3)
+        exact = CellEvaluator(paper_cell, paper_space)
+        x = np.vstack([rng.standard_normal((200, 6)),
+                       boundary_points(exact, rng, 20) * 1.001])
+        runs = []
+        for table in ({}, None):  # a cold table, then the warm one
+            if table is not None:
+                monkeypatch.setattr(adaptive, "_NOMINAL", table)
+            fast = AdaptiveMarginEvaluator(paper_cell, paper_space)
+            labels = fast.failure_labels(x, "cell")
+            runs.append((labels.tolist(), fast.device_model_evals,
+                         dict(fast.resolved)))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == exact.failure_labels(x, "cell").tolist()
 
 
 def label_chunk(chunk, evaluator, which):
@@ -329,6 +383,8 @@ class TestWindowCache:
                        on_shell(rng, 40, 3.5),
                        boundary_points(exact, rng, 20) * 1.01])
         with monkeypatch.context() as patch:
+            # a table of its own, so the former window stays private
+            patch.setattr(adaptive, "_NOMINAL", {})
             patch.setattr(adaptive, "WINDOW_HALF", 3)
             former = AdaptiveMarginEvaluator(paper_cell, paper_space)
             former.cache = SolveCache(former.solve_fingerprint())

@@ -1,6 +1,7 @@
 """Fused (2B, G) bisection: bit-identity against the per-side solves,
-resume from shallower brackets rung by rung, the device-eval
-accounting, and the side-symmetry precondition."""
+resume from shallower brackets rung by rung, column solves and
+predicted brackets, the device-eval accounting, and the side-symmetry
+precondition."""
 
 from __future__ import annotations
 
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.perf.adaptive import AdaptiveMarginEvaluator
 from repro.spice.model import MosfetModel
-from repro.sram.butterfly import ButterflyCurves, ReadButterflySolver
+from repro.sram.butterfly import (GUESS_DEPTH, ButterflyCurves,
+                                  ReadButterflySolver, bracket_edges)
 from repro.sram.cell import SramCell
 from repro.sram.evaluator import MARGIN_LEVELS, CellEvaluator
 from repro.sram.margins import lobe_margins
@@ -108,30 +111,55 @@ class TestFusionBitIdentity:
             2 * shifts.shape[0] * 40 * fused.grid.size
 
 
+GUESS_KINDS = [None, "prediction", "zero", "vdd", "noise"]
+
+
 @st.composite
 def column_cases(draw):
-    """Shifts, a sorted column subset of a 61-point grid, and a depth."""
+    """Shifts, sorted grid columns of a 61-point grid (``None``: all of
+    them), a depth, and a guess kind; a guess takes an 8-step solve."""
     seed = draw(st.integers(0, 2 ** 32 - 1))
     scale = draw(st.sampled_from([0.02, 0.05, 0.1]))
     shifts = np.random.default_rng(seed).normal(scale=scale, size=(12, 6))
-    columns = draw(st.lists(st.integers(0, 60), min_size=1, max_size=20,
-                            unique=True))
-    depth = draw(st.sampled_from([8, 40]))
-    return shifts, np.array(sorted(columns)), depth
+    columns = draw(st.one_of(
+        st.none(), st.lists(st.integers(0, 60), min_size=1, max_size=20,
+                            unique=True).map(sorted).map(np.array)))
+    guess = draw(st.sampled_from(GUESS_KINDS))
+    depth = GUESS_DEPTH if guess else draw(st.sampled_from([8, 40]))
+    return shifts, columns, depth, guess, seed
+
+
+def make_guess(kind, evaluator, shifts, columns, seed):
+    """A ``(2B, C)`` guess of ``kind``: the evaluator's prediction, all
+    0, all vdd, or uniform noise over ``[-0.1, vdd + 0.1]``."""
+    size = 61 if columns is None else len(columns)
+    shape = (2 * shifts.shape[0], size)
+    vdd = evaluator.vdd
+    if kind == "prediction":
+        return evaluator._guess(shifts, columns)
+    if kind == "noise":
+        return np.random.default_rng(seed).uniform(-0.1, vdd + 0.1, shape)
+    return np.full(shape, 0.0 if kind == "zero" else vdd)
 
 
 class TestColumnSolve:
-    """``solve_with_state(..., columns=...)`` bisects a column subset:
-    each column bit-identical to the same column of a full solve."""
+    """``solve_with_state(..., columns=..., guess=...)`` bisects a column
+    subset, optionally from predicted brackets: each column bit-identical
+    to the same column of a plain full solve."""
 
     @given(column_cases())
-    @settings(derandomize=True, max_examples=30, deadline=None)
-    def test_columns_match_full_solve(self, paper_cell, case):
-        shifts, columns, depth = case
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    def test_columns_match_full_solve(self, paper_cell, paper_space, case):
+        shifts, columns, depth, kind, seed = case
         solver = ReadButterflySolver(paper_cell, grid_points=61,
                                      bisection_iterations=depth)
         full, full_state = solver.solve_with_state(shifts)
-        part, part_state = solver.solve_with_state(shifts, columns=columns)
+        guess = None if kind is None else make_guess(
+            kind, AdaptiveMarginEvaluator(paper_cell, paper_space),
+            shifts, columns, seed)
+        part, part_state = solver.solve_with_state(shifts, columns=columns,
+                                                   guess=guess)
+        columns = np.arange(61) if columns is None else columns
         assert np.array_equal(part.grid, solver.grid[columns])
         # both sides: curves A and B, and the fused (2B, C) brackets
         assert np.array_equal(part.vtc_a, full.vtc_a[:, columns])
@@ -153,6 +181,53 @@ class TestColumnSolve:
         with pytest.raises(ValueError, match="column solve"):
             ReadButterflySolver(paper_cell, grid_points=21).resume(
                 shifts, state)
+
+
+class TestPredictedBrackets:
+    @pytest.mark.parametrize("vdd", [0.7, 0.5, 0.3])
+    def test_edges_are_the_brackets_bisection_reaches(self, paper_cell,
+                                                      shifts, vdd):
+        edges = bracket_edges(vdd, GUESS_DEPTH)
+        assert edges.size == 2 ** GUESS_DEPTH + 1
+        assert edges[0] == 0.0 and edges[-1] == vdd
+        assert np.all(np.diff(edges) > 0.0)
+        _, state = ReadButterflySolver(
+            paper_cell, vdd=vdd, grid_points=21,
+            bisection_iterations=GUESS_DEPTH).solve_with_state(
+                shifts * vdd / 0.7)
+        # every plain bracket is a pair of neighbouring edges, bit for bit
+        index = np.searchsorted(edges, state.lo)
+        assert np.array_equal(edges[index], state.lo)
+        assert np.array_equal(edges[index + 1], state.hi)
+
+    def test_a_right_guess_costs_two_evaluations(self, paper_cell, shifts):
+        solver = ReadButterflySolver(paper_cell, grid_points=21,
+                                     bisection_iterations=GUESS_DEPTH)
+        plain, state = solver.solve_with_state(shifts)
+        solver.model_evals = 0
+        guess = np.vstack([plain.vtc_a, plain.vtc_b])
+        curves, checked = solver.solve_with_state(shifts, guess=guess)
+        assert np.array_equal(checked.lo, state.lo)
+        assert np.array_equal(checked.hi, state.hi)
+        assert solver.model_evals == 2 * guess.size
+        assert solver.guess_outcomes == {"accepted": guess.size,
+                                         "reguessed": 0, "bisected": 0}
+
+    @pytest.mark.parametrize("depth", [12, 40])
+    def test_only_an_8_step_solver_takes_a_guess(self, paper_cell, shifts,
+                                                 depth):
+        solver = ReadButterflySolver(paper_cell, grid_points=21,
+                                     bisection_iterations=depth)
+        with pytest.raises(ValueError, match="8-step"):
+            solver.solve_with_state(shifts,
+                                    guess=np.zeros((2 * len(shifts), 21)))
+
+    def test_guess_shape_is_checked(self, paper_cell, shifts):
+        solver = ReadButterflySolver(paper_cell, grid_points=21,
+                                     bisection_iterations=GUESS_DEPTH)
+        with pytest.raises(ValueError, match="guess must have shape"):
+            solver.solve_with_state(shifts, columns=np.arange(4),
+                                    guess=np.zeros((2 * len(shifts), 21)))
 
 
 class TestEvaluatorBitIdentity:
